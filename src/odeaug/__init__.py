@@ -22,8 +22,8 @@ from .metrics import MetricsReport, RegimeRow, prf_metrics
 from .ode import (LINEAR1, FitConfig, FitReport, OdeParams, OdeStructure,
                   PsoConfig, SeriesPair, SgdConfig, evaluate_rhs, fit,
                   fit_gradient_sgd, integrate, refine_pso)
-from .scoring import (ErrorVector, GaussianScorer, detect, error_vectors,
-                      fit_gaussian, log_likelihood, select_threshold)
+from .scoring import (GaussianScorer, detect, error_vectors, fit_gaussian,
+                      log_likelihood, select_threshold)
 from .series import (Dataset, TimeSeries, curvature_score,
                      numerical_derivative, read_csv, smooth, write_csv)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .control import State
 from .errors import PlacementError
-from .ode import LINEAR1, OdeParams, integrate
+from .ode import OdeParams, integrate
 
 
 class AnomalyKind(enum.Enum):
@@ -217,10 +217,7 @@ def inject(series, segmentation, model, spec, channel):
                 s_min - magnitude * s_range
             out[start:end] = level
         elif kind is AnomalyKind.WRONG_STATE:
-            if isinstance(model, OdeParams):
-                structure, params = LINEAR1, model
-            else:
-                structure, params = model
+            structure, params = model
             low_segs = [s for s in segmentation.segments if s.state is State.LOW]
             if not low_segs:
                 raise ValueError("segmentation has no LOW segments to imitate")

@@ -328,8 +328,8 @@ def cmd_threshold(args):
     pooled = []
     for series in _load_series_any(args.normal):
         preds = predict(net, config, series)
-        pooled.extend(error_vectors(preds, series, config))
-    scorer = fit_gaussian(pooled, ridge=args.ridge)
+        pooled.append(error_vectors(preds, series, config))
+    scorer = fit_gaussian(np.concatenate(pooled), ridge=args.ridge)
     scores, labels = [], []
     for series in _load_series_any(args.labeled):
         if series.labels is None:

@@ -117,8 +117,8 @@ def evaluate_training_set(train_series, benchmark):
     pooled = []
     for series in benchmark.val_normal:
         preds = predict(net, config, series)
-        pooled.extend(error_vectors(preds, series, config))
-    scorer = fit_gaussian(pooled, ridge=benchmark.config.ridge)
+        pooled.append(error_vectors(preds, series, config))
+    scorer = fit_gaussian(np.concatenate(pooled), ridge=benchmark.config.ridge)
 
     scores, labels = [], []
     for series in benchmark.val_anomalous:

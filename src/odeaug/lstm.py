@@ -504,6 +504,7 @@ def network_to_dict(net, config):
             "clip_norm": config.clip_norm,
             "seed": config.seed,
             "tbptt_length": config.tbptt_length,
+            "series_batch_size": config.series_batch_size,
             "patience": config.patience,
             "val_fraction": config.val_fraction,
             "norm_mean": config.norm_mean,

@@ -25,16 +25,15 @@ class OdeStructure:
 
     ``rhs(params, x, u)`` returns dx/dt; ``rhs_param_gradient(params, x, u)``
     returns the length-``param_count`` vector of partial derivatives of the
-    right-hand side with respect to each parameter.  ``linear_in_params``
-    marks structures of the form rhs = rhs(0, x, u) + gradient . params,
-    which unlocks a much faster regression path.
+    right-hand side with respect to each parameter.  Structures are linear
+    in their parameters, rhs = rhs(0, x, u) + gradient . params, which the
+    gradient-matching solver assumes.
     """
 
     id: str
     rhs: Callable
     rhs_param_gradient: Callable
     param_count: int
-    linear_in_params: bool = False
 
 
 def _linear1_rhs(p, x, u):
@@ -46,8 +45,7 @@ def _linear1_grad(p, x, u):
 
 
 #: First-order linear response to a control input: gain, decay, offset.
-LINEAR1 = OdeStructure("linear1", _linear1_rhs, _linear1_grad, 3,
-                       linear_in_params=True)
+LINEAR1 = OdeStructure("linear1", _linear1_rhs, _linear1_grad, 3)
 
 STRUCTURES = {LINEAR1.id: LINEAR1}
 
@@ -163,8 +161,10 @@ class SeriesPair:
 def integrate(structure, params, control, x0, dt, abs_bound=None):
     """Fixed-step classical Runge-Kutta trajectory under a sampled control.
 
-    The control is held constant over each sample for the intra-step
-    stages.  Returns one value per control sample, starting at ``x0``.
+    ``params`` is an :class:`OdeParams` or one parameter vector for the
+    whole span.  The control is held constant over each sample for the
+    intra-step stages.  Returns one value per control sample, starting at
+    ``x0``.
 
     Raises
     ------
@@ -172,9 +172,7 @@ def integrate(structure, params, control, x0, dt, abs_bound=None):
         If the state becomes non-finite, or ``abs_bound`` is given and
         ``|x|`` exceeds it.  The error carries the offending step index.
     """
-    if isinstance(params, (tuple, list)) and params and not isinstance(
-        params[0], (tuple, list)
-    ):
+    if not isinstance(params, OdeParams):
         params = OdeParams.single(params, len(control))
     control = np.asarray(control, dtype=float)
     n = control.shape[0]
@@ -237,9 +235,7 @@ class SgdConfig:
 
     The per-parameter preconditioner makes the rate scale-free; the decay
     phase plus Polyak tail averaging lets the iterate settle onto the
-    least-squares solution instead of hovering around it.  The plateau
-    stop (``min_improvement`` > 0) is off by default because it tends to
-    fire while the slowest parameter direction is still converging.
+    least-squares solution instead of hovering around it.
     """
 
     learning_rate: float = 0.05
@@ -247,7 +243,6 @@ class SgdConfig:
     warmup_fraction: float = 0.33
     lr_decay: float = 0.3
     average_fraction: float = 0.4
-    min_improvement: float = 0.0
 
 
 @dataclass
@@ -294,80 +289,56 @@ class FitReport:
 # ---------------------------------------------------------------------------
 # gradient-matching stage
 
-def _sgd_minimize(structure, targets, xs, us, config, rng):
+def _sgd_minimize(targets, rows, offsets, config, rng):
     """Per-point SGD on the squared gradient-matching residual.
 
-    Updates are preconditioned by the inverse mean-square gradient
-    features at the zero initialization.  The preconditioner is constant,
-    so the fixed point is still the unweighted least-squares solution; it
-    only makes the step size independent of channel units.
+    ``rows`` are the parameter-gradient design rows and ``offsets`` the
+    right-hand side at zero parameters, one per retained point; the
+    structure is linear in its parameters, so the residual of point ``t``
+    is ``targets[t] - offsets[t] - rows[t] . p``.  Updates are
+    preconditioned by the inverse mean-square design row.  The
+    preconditioner is constant, so the fixed point is still the unweighted
+    least-squares solution; it only makes the step size independent of
+    channel units.
     """
-    n_params = structure.param_count
-    p = np.zeros(n_params)
-    n = targets.shape[0]
-    feats0 = np.array(
-        [structure.rhs_param_gradient(p, x, u) for x, u in zip(xs, us)], dtype=float
-    )
-    pre = 1.0 / np.maximum(np.mean(feats0 * feats0, axis=0), 1e-300)
-    linear = structure.linear_in_params
-    if linear:
-        offsets = np.array(
-            [structure.rhs(p, x, u) for x, u in zip(xs, us)], dtype=float
-        )
-        # plain-float rows: the per-point loop is an order of magnitude
-        # faster than boxed numpy scalars
-        feat_rows = [tuple(row) for row in feats0]
-        pf_rows = [tuple(row) for row in feats0 * pre]
-        y_off = (targets - offsets).tolist()
-        p_work = [0.0] * n_params
+    n, n_params = rows.shape
+    pre = 1.0 / np.maximum(np.mean(rows * rows, axis=0), 1e-300)
+    # plain-float rows: the per-point loop is an order of magnitude faster
+    # than boxed numpy scalars
+    feat_rows = [tuple(row) for row in rows]
+    pf_rows = [tuple(row) for row in rows * pre]
+    y_off = (targets - offsets).tolist()
+    p_work = [0.0] * n_params
     k_range = range(n_params)
 
     order = np.arange(n)
     warmup = int(config.warmup_fraction * config.epochs)
     avg_start = int((1.0 - config.average_fraction) * config.epochs)
+    p = np.zeros(n_params)
     acc = np.zeros(n_params)
     n_acc = 0
-    prev_loss = None
     lr0 = config.learning_rate
     for epoch in range(config.epochs):
         lr = lr0 if epoch < warmup else lr0 / (1.0 + config.lr_decay * (epoch - warmup))
         two_lr = 2.0 * lr
         rng.shuffle(order)
-        if linear:
-            for t in order.tolist():
-                f = feat_rows[t]
-                r = y_off[t]
-                for j in k_range:
-                    r -= f[j] * p_work[j]
-                c = two_lr * r
-                pf = pf_rows[t]
-                for j in k_range:
-                    p_work[j] += c * pf[j]
-            p = np.array(p_work)
-            resid = targets - offsets - feats0 @ p
-        else:
-            for t in order:
-                x, u = xs[t], us[t]
-                r = targets[t] - structure.rhs(p, x, u)
-                p += (two_lr * r) * (
-                    pre * np.asarray(structure.rhs_param_gradient(p, x, u), dtype=float)
-                )
-            resid = np.array(
-                [targets[i] - structure.rhs(p, xs[i], us[i]) for i in range(n)]
-            )
+        for t in order.tolist():
+            f = feat_rows[t]
+            r = y_off[t]
+            for j in k_range:
+                r -= f[j] * p_work[j]
+            c = two_lr * r
+            pf = pf_rows[t]
+            for j in k_range:
+                p_work[j] += c * pf[j]
+        p = np.array(p_work)
+        resid = targets - offsets - rows @ p
         loss = float(np.mean(resid * resid))
         if not math.isfinite(loss):
             raise UnidentifiableError("gradient regression diverged")
         if epoch >= avg_start:
             acc += p
             n_acc += 1
-        if (
-            config.min_improvement > 0.0
-            and prev_loss is not None
-            and 0.0 <= prev_loss - loss < config.min_improvement
-        ):
-            break
-        prev_loss = loss
     return acc / n_acc if n_acc else p
 
 
@@ -409,6 +380,7 @@ def fit_gradient_sgd(pair, structure, drop_fractions, config=None):
     targets = derivative(smoothed, pair.sample_period, 1)
     bound = _divergence_bound(pair.dependent)
 
+    probe = np.zeros(structure.param_count)
     candidates = []
     ss = np.random.SeedSequence([_seed_entropy(config.seed), 101])
     streams = ss.spawn(len(drop_fractions))
@@ -419,12 +391,16 @@ def fit_gradient_sgd(pair, structure, drop_fractions, config=None):
                 f"only {keep.shape[0]} samples retained after dropping; "
                 f"need at least {config.min_points}"
             )
-        xs = smoothed[keep]
-        us = pair.control[keep]
-        gs = targets[keep]
-        _check_identifiable(structure, xs, us)
+        # linear in the parameters: the design rows and offsets at zero
+        # parameters define the whole regression
+        points = list(zip(smoothed[keep], pair.control[keep]))
+        rows = np.array(
+            [structure.rhs_param_gradient(probe, x, u) for x, u in points], dtype=float
+        )
+        offsets = np.array([structure.rhs(probe, x, u) for x, u in points], dtype=float)
+        _check_identifiable(rows)
         rng = np.random.default_rng(stream)
-        p = _sgd_minimize(structure, gs, xs, us, config.sgd, rng)
+        p = _sgd_minimize(targets[keep], rows, offsets, config.sgd, rng)
         rmse = integration_rmse(
             structure, OdeParams.single(p, n), pair, abs_bound=bound
         )
@@ -433,11 +409,8 @@ def fit_gradient_sgd(pair, structure, drop_fractions, config=None):
     return candidates
 
 
-def _check_identifiable(structure, xs, us):
-    probe = np.zeros(structure.param_count)
-    rows = np.array([structure.rhs_param_gradient(probe, x, u) for x, u in zip(xs, us)],
-                    dtype=float)
-    if np.linalg.matrix_rank(rows) < structure.param_count:
+def _check_identifiable(rows):
+    if np.linalg.matrix_rank(rows) < rows.shape[1]:
         raise UnidentifiableError(
             "retained points do not identify the parameters "
             "(rank-deficient regression design)"

@@ -17,40 +17,28 @@ from .errors import DegenerateLabelsError
 from .lstm import predict
 
 
-@dataclass(frozen=True)
-class ErrorVector:
-    """Residuals of point ``t`` against its l past predictions, channel-major."""
-
-    t: int
-    e: np.ndarray
-
-
 def error_vectors(predictions, series, config):
     """Error vectors for every point with all ``l`` past predictions.
 
     ``predictions`` must come from :func:`odeaug.lstm.predict` on the same
     series.  Residuals are computed in normalized units (actual values are
-    z-scored with the config's stats before subtraction).  Vectors exist
-    for t >= l only.
+    z-scored with the config's stats before subtraction).  Returns a
+    ``(T - l, l * d)`` array: row ``t - l`` holds the residuals of point
+    ``t`` against the predictions made 1..l steps earlier, channel-major.
     """
     horizon = config.prediction_length
     actual = config.normalize(series, config.predicted_channels)
     t_len, d = actual.shape
     if predictions.shape != (t_len, horizon * d):
         raise ValueError("predictions do not match the series and config")
-    vectors = []
-    for t in range(horizon, t_len):
-        e = np.empty(horizon * d)
-        for c in range(d):
-            for i in range(1, horizon + 1):
-                col = c * horizon + (i - 1)
-                e[col] = actual[t, c] - predictions[t - i, col]
-        vectors.append(ErrorVector(t, e))
-    return vectors
-
-
-def stack_errors(vectors):
-    return np.stack([v.e for v in vectors])
+    n = max(t_len - horizon, 0)
+    errors = np.empty((n, horizon * d))
+    for c in range(d):
+        for i in range(1, horizon + 1):
+            col = c * horizon + (i - 1)
+            past = predictions[horizon - i:horizon - i + n, col]
+            errors[:, col] = actual[horizon:, c] - past
+    return errors
 
 
 @dataclass
@@ -91,16 +79,16 @@ class GaussianScorer:
         return self._chol
 
 
-def fit_gaussian(vectors, ridge=1e-6):
-    """Maximum-likelihood Gaussian over error vectors, ridge-stabilized.
+def fit_gaussian(mat, ridge=1e-6):
+    """Maximum-likelihood Gaussian over the rows of an error-vector array.
 
     The stored covariance is the MLE (1/N) covariance plus ``ridge`` times
     the identity.  Requires at least two vectors; positive definiteness is
     verified eagerly so degenerate fits fail here, not at scoring time.
     """
-    if len(vectors) < 2:
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] < 2:
         raise ValueError("need at least two error vectors")
-    mat = stack_errors(vectors) if not isinstance(vectors, np.ndarray) else vectors
     mean = mat.mean(axis=0)
     centered = mat - mean
     cov = (centered.T @ centered) / mat.shape[0]
@@ -112,21 +100,19 @@ def fit_gaussian(vectors, ridge=1e-6):
 
 def log_likelihood(scorer, e):
     """Log of the multivariate normal density at one error vector."""
-    e = np.asarray(getattr(e, "e", e), dtype=float)
-    if e.shape != scorer.mean.shape:
-        raise ValueError(
-            f"dimension mismatch: vector {e.shape[0]}, scorer {scorer.dim}"
-        )
-    chol = scorer._factor()
-    z = np.linalg.solve(chol, e - scorer.mean)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    k = scorer.dim
-    return float(-0.5 * (k * math.log(2.0 * math.pi) + log_det + z @ z))
+    e = np.asarray(e, dtype=float)
+    if e.ndim != 1:
+        raise ValueError("expected one error vector")
+    return float(log_likelihood_batch(scorer, e)[0])
 
 
 def log_likelihood_batch(scorer, mat):
-    """Vectorized :func:`log_likelihood` over rows of a matrix."""
+    """Log of the multivariate normal density at each row of a matrix."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if mat.shape[1] != scorer.dim:
+        raise ValueError(
+            f"dimension mismatch: vector {mat.shape[1]}, scorer {scorer.dim}"
+        )
     chol = scorer._factor()
     z = np.linalg.solve(chol, (mat - scorer.mean).T)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -145,7 +131,8 @@ def select_threshold(scores, labels, beta=1.0):
 
     Candidates are the midpoints between consecutive sorted unique scores
     plus -inf/+inf sentinels.  Ties prefer higher recall, then the lower
-    threshold.  Returns (threshold, achieved F).
+    threshold.  Returns (threshold, achieved F).  Scores may be +inf (the
+    warm-up points of :func:`score_series`) but not NaN.
 
     Raises :class:`DegenerateLabelsError` when labels are single-class.
     """
@@ -153,6 +140,8 @@ def select_threshold(scores, labels, beta=1.0):
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be aligned 1-D arrays")
+    if np.isnan(scores).any():
+        raise ValueError("scores contain NaN")
     n_pos = int(labels.sum())
     if n_pos == 0 or n_pos == scores.shape[0]:
         raise DegenerateLabelsError("labels must contain both classes")
@@ -190,12 +179,9 @@ def score_series(net, config, scorer, series):
     finite threshold, matching the normal-by-convention warm-up rule.
     """
     preds = predict(net, config, series)
-    vectors = error_vectors(preds, series, config)
+    errors = error_vectors(preds, series, config)
     scores = np.full(len(series), math.inf)
-    if vectors:
-        scores[config.prediction_length:] = log_likelihood_batch(
-            scorer, stack_errors(vectors)
-        )
+    scores[config.prediction_length:] = log_likelihood_batch(scorer, errors)
     return scores
 
 

@@ -277,6 +277,9 @@ def read_csv(path):
     if len(rows) < 2:
         raise CsvFormatError(path, 2, "need at least two data rows")
     t = np.asarray(times)
+    if not np.all(np.isfinite(t)):
+        row = int(np.nonzero(~np.isfinite(t))[0][0])
+        raise CsvFormatError(path, row + 2, "non-finite t")
     steps = np.diff(t)
     dt = steps[0]
     if dt <= 0:

@@ -18,8 +18,8 @@ from odeaug.metrics import prf_metrics
 from odeaug.ode import (LINEAR1, FitConfig, OdeParams, PsoConfig, SeriesPair,
                         fit, fit_gradient_sgd, integrate, refine_pso,
                         _retained_indices)
-from odeaug.scoring import (ErrorVector, GaussianScorer, fit_gaussian,
-                            log_likelihood, select_threshold)
+from odeaug.scoring import (GaussianScorer, fit_gaussian, log_likelihood,
+                            select_threshold)
 from odeaug.series import derivative, moving_average
 
 
@@ -195,8 +195,7 @@ def test_criterion_8_scorer_correctness():
     rng = np.random.default_rng(11)
     mat = rng.normal(size=(60, 3))
     ridge = 1e-6
-    scorer = fit_gaussian([ErrorVector(t, e) for t, e in enumerate(mat)],
-                          ridge=ridge)
+    scorer = fit_gaussian(mat, ridge=ridge)
     centered = mat - mat.mean(axis=0)
     mle = centered.T @ centered / mat.shape[0]
     moments_ok = (

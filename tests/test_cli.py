@@ -1,10 +1,12 @@
 """Command-line pipeline: exit codes, manifests, determinism, handoff."""
 
 import json
+import math
 import os
 
 import pytest
 
+from odeaug import cli
 from odeaug.cli import main
 from odeaug.series import read_csv
 
@@ -198,6 +200,26 @@ class TestPipelineHandoff:
         doc = json.load(open(artifacts["scorer"]))
         assert doc["kind"] == "gaussian-scorer"
         assert doc["threshold"] is not None
+
+    def test_threshold_with_nan_scores_exits_1(self, artifacts, data_dir,
+                                               tmp_path, monkeypatch, capsys):
+        real_score_series = cli.score_series
+
+        def score_series_with_nan(*args):
+            scores = real_score_series(*args)
+            scores[-1] = math.nan
+            return scores
+
+        monkeypatch.setattr(cli, "score_series", score_series_with_nan)
+        out = tmp_path / "scorer.json"
+        assert run(
+            "threshold", "--net", artifacts["net"],
+            "--normal", os.path.join(data_dir, "val_normal"),
+            "--labeled", os.path.join(data_dir, "val_anomalous"),
+            "--out", str(out),
+        ) == 1
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_channel_is_runtime_error(self, artifacts, data_dir):
         assert run(

@@ -252,6 +252,19 @@ class TestSerialization:
         assert np.allclose(predict(net, config, series),
                            predict(back_net, back_config, series), atol=1e-15)
 
+    def test_round_trip_keeps_series_batch_size(self):
+        config = toy_config(series_batch_size=3)
+        doc = network_to_dict(init_network(config), config)
+        _, back_config = network_from_dict(doc)
+        assert back_config.series_batch_size == 3
+
+    def test_document_without_series_batch_size_uses_default(self):
+        config = toy_config(series_batch_size=3)
+        doc = network_to_dict(init_network(config), config)
+        del doc["config"]["series_batch_size"]
+        _, back_config = network_from_dict(doc)
+        assert back_config.series_batch_size == 8
+
     def test_dimension_check(self):
         config = toy_config()
         net = init_network(config)

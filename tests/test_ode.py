@@ -112,6 +112,12 @@ class TestIntegrate:
                       np.zeros(2000), 1.0, 0.1, abs_bound=1e6)
         assert err.value.step_index > 0
 
+    def test_array_params_match_tuple_params(self):
+        u = np.linspace(0.1, 0.9, 60)
+        from_array = integrate(LINEAR1, np.array([1.0, 0.5, 0.0]), u, 0.2, 0.1)
+        from_tuple = integrate(LINEAR1, (1.0, 0.5, 0.0), u, 0.2, 0.1)
+        assert from_array.tobytes() == from_tuple.tobytes()
+
     def test_monotone_approach_to_equilibrium(self):
         p = (2.0, 0.5, 0.1)
         u = np.full(400, 0.9)

@@ -7,10 +7,9 @@ import pytest
 
 from odeaug.errors import DegenerateLabelsError
 from odeaug.lstm import PredictorConfig, init_network, predict
-from odeaug.scoring import (ErrorVector, GaussianScorer, detect, error_vectors,
-                            fit_gaussian, log_likelihood, log_likelihood_batch,
-                            scorer_from_dict, scorer_to_dict, select_threshold,
-                            stack_errors)
+from odeaug.scoring import (GaussianScorer, detect, error_vectors, fit_gaussian,
+                            log_likelihood, log_likelihood_batch,
+                            scorer_from_dict, scorer_to_dict, select_threshold)
 from odeaug.series import TimeSeries
 
 
@@ -33,9 +32,9 @@ class TestErrorVectors:
         preds = np.zeros((5, 2))
         preds[2, 0] = 1.1   # horizon-1 prediction of x(3), made at t=2
         preds[1, 1] = 0.9   # horizon-2 prediction of x(3), made at t=1
-        vectors = error_vectors(preds, series, config)
-        v3 = [v for v in vectors if v.t == 3][0]
-        assert v3.e == pytest.approx([-0.1, 0.1])
+        errors = error_vectors(preds, series, config)
+        # row t - l holds point t
+        assert errors[3 - 2] == pytest.approx([-0.1, 0.1])
 
     def test_perfect_predictor_gives_zero_vectors(self):
         config = identity_config(prediction_length=3)
@@ -47,54 +46,82 @@ class TestErrorVectors:
             for i in (1, 2, 3):
                 if t + i < 12:
                     preds[t, i - 1] = x[t + i]
-        vectors = error_vectors(preds, series, config)
-        assert all(np.allclose(v.e, 0.0) for v in vectors)
+        errors = error_vectors(preds, series, config)
+        assert np.allclose(errors, 0.0)
 
     def test_emitted_only_from_horizon_onward(self):
         config = identity_config(prediction_length=2)
         series = TimeSeries(["x"], 1.0, np.zeros((10, 1)))
-        vectors = error_vectors(np.zeros((10, 2)), series, config)
-        assert [v.t for v in vectors] == list(range(2, 10))
+        errors = error_vectors(np.zeros((10, 2)), series, config)
+        assert errors.shape == (10 - 2, 2)
 
     def test_single_step_horizon_is_plain_residual(self):
         config = identity_config(prediction_length=1)
         x = np.array([1.0, 2.0, 3.0, 4.0])
         series = TimeSeries(["x"], 1.0, x[:, None])
         preds = np.array([[1.5], [2.5], [3.5], [0.0]])
-        vectors = error_vectors(preds, series, config)
-        assert [v.t for v in vectors] == [1, 2, 3]
-        assert vectors[0].e[0] == pytest.approx(2.0 - 1.5)
+        errors = error_vectors(preds, series, config)
+        assert errors.shape == (3, 1)
+        assert errors[0, 0] == pytest.approx(2.0 - 1.5)
+
+    def test_multi_channel_layout(self):
+        # d = 2, l = 3: column c * l + (i - 1) of row t - l holds the
+        # residual of channel c at point t against the prediction made at
+        # t - i
+        horizon, d, t_len = 3, 2, 9
+        config = identity_config(
+            input_channels=("x", "y"), predicted_channels=("x", "y"),
+            prediction_length=horizon,
+            norm_mean={"x": 0.5, "y": -1.0}, norm_std={"x": 2.0, "y": 0.5},
+        )
+        rng = np.random.default_rng(11)
+        series = TimeSeries(["x", "y"], 1.0, rng.normal(size=(t_len, d)))
+        preds = rng.normal(size=(t_len, horizon * d))
+        actual = (series.values - np.array([0.5, -1.0])) / np.array([2.0, 0.5])
+        expected = np.empty((t_len - horizon, horizon * d))
+        for t in range(horizon, t_len):
+            for c in range(d):
+                for i in range(1, horizon + 1):
+                    col = c * horizon + (i - 1)
+                    expected[t - horizon, col] = actual[t, c] - preds[t - i, col]
+        errors = error_vectors(preds, series, config)
+        assert errors.shape == (t_len - horizon, horizon * d)
+        assert np.array_equal(errors, expected)
+
+    def test_series_shorter_than_horizon_gives_no_rows(self):
+        config = identity_config(prediction_length=5)
+        series = TimeSeries(["x"], 1.0, np.zeros((4, 1)))
+        errors = error_vectors(np.zeros((4, 5)), series, config)
+        assert errors.shape == (0, 5)
 
 
 class TestFitGaussian:
     def test_mean_is_sample_mean(self):
         rng = np.random.default_rng(1)
         mat = rng.normal(size=(40, 3))
-        vectors = [ErrorVector(t, e) for t, e in enumerate(mat)]
-        scorer = fit_gaussian(vectors, ridge=0.0)
+        scorer = fit_gaussian(mat, ridge=0.0)
         assert np.allclose(scorer.mean, mat.mean(axis=0), atol=1e-12)
 
     def test_covariance_is_mle_plus_ridge(self):
         rng = np.random.default_rng(2)
         mat = rng.normal(size=(30, 2))
         ridge = 1e-4
-        scorer = fit_gaussian([ErrorVector(t, e) for t, e in enumerate(mat)],
-                              ridge=ridge)
+        scorer = fit_gaussian(mat, ridge=ridge)
         centered = mat - mat.mean(axis=0)
         mle = centered.T @ centered / mat.shape[0]
         assert np.allclose(scorer.covariance, mle + ridge * np.eye(2), atol=1e-12)
 
     def test_degenerate_needs_ridge(self):
         e = np.array([1.0, 2.0])
-        vectors = [ErrorVector(0, e), ErrorVector(1, e)]
+        mat = np.stack([e, e])
         with pytest.raises(ValueError, match="positive definite"):
-            fit_gaussian(vectors, ridge=0.0)
-        scorer = fit_gaussian(vectors, ridge=1e-6)
+            fit_gaussian(mat, ridge=0.0)
+        scorer = fit_gaussian(mat, ridge=1e-6)
         assert np.isfinite(log_likelihood(scorer, e))
 
     def test_too_few_vectors_rejected(self):
         with pytest.raises(ValueError, match="two"):
-            fit_gaussian([ErrorVector(0, np.array([1.0]))])
+            fit_gaussian(np.array([[1.0]]))
 
 
 class TestLogLikelihood:
@@ -126,7 +153,7 @@ class TestLogLikelihood:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
         mat = rng.normal(size=(50, 3))
-        scorer = fit_gaussian([ErrorVector(t, e) for t, e in enumerate(mat)])
+        scorer = fit_gaussian(mat)
         batch = log_likelihood_batch(scorer, mat)
         singles = [log_likelihood(scorer, e) for e in mat]
         assert np.allclose(batch, singles, atol=1e-10)
@@ -194,6 +221,16 @@ class TestSelectThreshold:
         bf_tau, bf_f = brute_force_threshold(scores, labels, beta=2.0)
         assert f2 == pytest.approx(bf_f, abs=1e-12)
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            select_threshold([0.1, 0.2, 0.3, math.nan], [1, 1, 1, 0])
+
+    def test_infinite_warmup_scores_allowed(self):
+        tau, f = select_threshold([math.inf, -5.0, -1.0, math.inf],
+                                  [False, True, False, False])
+        assert tau == pytest.approx(-3.0)
+        assert f == pytest.approx(1.0)
+
     def test_tie_prefers_higher_recall(self):
         # F = 2*TP/(cut+positives): cuts 1 and 4 both reach F=2/3, and the
         # cut-4 threshold wins on recall
@@ -211,8 +248,7 @@ class TestDetect:
         rng = np.random.default_rng(4)
         series = TimeSeries(["x"], 1.0, rng.normal(size=(30, 1)))
         preds = predict(net, config, series)
-        vectors = error_vectors(preds, series, config)
-        scorer = fit_gaussian(vectors, ridge=1e-6)
+        scorer = fit_gaussian(error_vectors(preds, series, config), ridge=1e-6)
         return config, net, series, scorer
 
     def test_threshold_required(self):
@@ -230,17 +266,16 @@ class TestDetect:
     def test_boundary_is_strict(self):
         config, net, series, scorer = self._setup()
         preds = predict(net, config, series)
-        vectors = error_vectors(preds, series, config)
-        scores = log_likelihood_batch(scorer, stack_errors(vectors))
+        scores = log_likelihood_batch(scorer, error_vectors(preds, series, config))
         scorer.threshold = float(scores[0])
         mask = detect(net, config, scorer, series)
-        assert not mask[vectors[0].t]
+        # row 0 scores point l
+        assert not mask[config.prediction_length]
 
     def test_invariant_under_monotone_transform_of_threshold(self):
         config, net, series, scorer = self._setup()
         preds = predict(net, config, series)
-        vectors = error_vectors(preds, series, config)
-        scores = log_likelihood_batch(scorer, stack_errors(vectors))
+        scores = log_likelihood_batch(scorer, error_vectors(preds, series, config))
         scorer.threshold = float(np.median(scores))
         base = detect(net, config, scorer, series)
         assert base[2:].any() and not base.all()
@@ -250,7 +285,7 @@ class TestScorerSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         mat = rng.normal(size=(40, 4))
-        scorer = fit_gaussian([ErrorVector(t, e) for t, e in enumerate(mat)])
+        scorer = fit_gaussian(mat)
         scorer.threshold = -3.25
         back = scorer_from_dict(scorer_to_dict(scorer))
         assert np.allclose(back.mean, scorer.mean, atol=1e-15)

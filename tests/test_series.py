@@ -216,6 +216,13 @@ class TestCsvRoundTrip:
             read_csv(path)
         assert ":4:" in str(err.value)
 
+    def test_rejects_nan_time_with_line_number(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x\n0.0,1\n0.1,2\nnan,3\n0.3,4\n")
+        with pytest.raises(CsvFormatError, match="non-finite t") as err:
+            read_csv(path)
+        assert err.value.line == 4
+
     def test_rejects_bad_label(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,x,label\n0.0,1,0\n0.1,2,2\n")
