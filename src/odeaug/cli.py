@@ -297,16 +297,13 @@ def cmd_train(args):
         cfg_doc.setdefault("predicted_channels", series_list[0].channel_names)
     if args.seed is not None:
         cfg_doc["seed"] = args.seed
-    for key in ("input_channels", "predicted_channels", "layer_sizes"):
-        if key in cfg_doc:
-            cfg_doc[key] = tuple(cfg_doc[key])
     config = PredictorConfig(**cfg_doc)
     val_series = _load_series_any(args.val_normal) if args.val_normal else None
     net, log = train(series_list, config, val_series=val_series)
     _ensure_out_file(args.out, args.force)
     _write_json(args.out, network_to_dict(net, config))
     _write_manifest(
-        "train", args.out, config.seed, cfg_doc_jsonable(cfg_doc),
+        "train", args.out, config.seed, cfg_doc,
         [args.data] + ([args.config] if args.config else [])
         + ([args.val_normal] if args.val_normal else []),
         extra={"training_log": {
@@ -317,10 +314,6 @@ def cmd_train(args):
         }},
     )
     return 0
-
-
-def cfg_doc_jsonable(doc):
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
 
 def cmd_threshold(args):

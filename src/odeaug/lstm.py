@@ -12,6 +12,7 @@ current step.  Predictions are in normalized (z-scored) units.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,16 @@ class PredictorConfig:
             raise ValueError("need at least one predicted channel")
         if not self.input_channels:
             raise ValueError("need at least one input channel")
+        for name in ("epochs", "tbptt_length", "series_batch_size", "patience"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1")
+        if not 0 <= self.val_fraction < 1:
+            raise ValueError("val_fraction must be in [0, 1)")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        if not self.clip_norm >= 0:
+            raise ValueError("clip_norm must be >= 0 (0 turns clipping off)")
 
     @property
     def output_dim(self):
@@ -137,11 +148,19 @@ def init_network(config, rng=None):
 # ---------------------------------------------------------------------------
 # forward / backward over one chunk
 
+def _zero_state(net, b):
+    """Zero (h, c) states for a batch of ``b``; both share one list of
+    per-layer arrays, which nothing writes into."""
+    zeros = [np.zeros((b, l.hidden_size)) for l in net.layers]
+    return zeros, zeros
+
+
 def _forward(net, x, h0, c0):
     """Run the stack over a chunk.  x: (B, T, D_in).
 
     Returns (outputs (B, T, K), caches, h_final, c_final) where the final
-    states are lists per layer for carrying across chunks.
+    states are lists per layer for carrying across chunks.  A layer's cache
+    is (inputs, gates (B, T, 4H) as i|f|g|o, cells, tanh_c, hidden, h0, c0).
     """
     b, t_len, _ = x.shape
     inputs = x
@@ -151,34 +170,25 @@ def _forward(net, x, h0, c0):
         h_size = layer.hidden_size
         h = h0[li]
         c = c0[li]
-        gate_i = np.empty((b, t_len, h_size))
-        gate_f = np.empty((b, t_len, h_size))
-        gate_g = np.empty((b, t_len, h_size))
-        gate_o = np.empty((b, t_len, h_size))
+        gates = np.empty((b, t_len, 4 * h_size))
         cells = np.empty((b, t_len, h_size))
         tanh_c = np.empty((b, t_len, h_size))
         hidden = np.empty((b, t_len, h_size))
         for t in range(t_len):
             z = inputs[:, t] @ layer.w_x.T + h @ layer.w_h.T + layer.b
-            i = _sigmoid(z[:, :h_size])
-            f = _sigmoid(z[:, h_size:2 * h_size])
-            g = np.tanh(z[:, 2 * h_size:3 * h_size])
-            o = _sigmoid(z[:, 3 * h_size:])
+            # one elementwise sigmoid over i|f|g|o, then g gets its tanh
+            act = _sigmoid(z)
+            act[:, 2 * h_size:3 * h_size] = np.tanh(z[:, 2 * h_size:3 * h_size])
+            i, f = act[:, :h_size], act[:, h_size:2 * h_size]
+            g, o = act[:, 2 * h_size:3 * h_size], act[:, 3 * h_size:]
             c = f * c + i * g
             tc = np.tanh(c)
             h = o * tc
-            gate_i[:, t] = i
-            gate_f[:, t] = f
-            gate_g[:, t] = g
-            gate_o[:, t] = o
+            gates[:, t] = act
             cells[:, t] = c
             tanh_c[:, t] = tc
             hidden[:, t] = h
-        caches.append({
-            "inputs": inputs, "i": gate_i, "f": gate_f, "g": gate_g,
-            "o": gate_o, "c": cells, "tanh_c": tanh_c, "hidden": hidden,
-            "h0": h0[li], "c0": c0[li],
-        })
+        caches.append((inputs, gates, cells, tanh_c, hidden, h0[li], c0[li]))
         h_finals.append(h)
         c_finals.append(c)
         inputs = hidden
@@ -188,7 +198,7 @@ def _forward(net, x, h0, c0):
 
 def _backward(net, caches, d_out):
     """Analytic gradients for one chunk given d(loss)/d(outputs)."""
-    hidden_last = caches[-1]["hidden"]
+    hidden_last = caches[-1][4]
     d_w_out = np.einsum("btk,bth->kh", d_out, hidden_last)
     d_b_out = d_out.sum(axis=(0, 1))
     d_hidden = d_out @ net.w_out
@@ -196,10 +206,7 @@ def _backward(net, caches, d_out):
     layer_grads = [None] * len(net.layers)
     for li in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[li]
-        cache = caches[li]
-        gi, gf, gg, go = cache["i"], cache["f"], cache["g"], cache["o"]
-        cells, tanh_c = cache["c"], cache["tanh_c"]
-        inputs, hidden = cache["inputs"], cache["hidden"]
+        inputs, gates, cells, tanh_c, hidden, h0, c0 = caches[li]
         b, t_len, h_size = hidden.shape
 
         d_w_x = np.zeros_like(layer.w_x)
@@ -210,11 +217,13 @@ def _backward(net, caches, d_out):
         dc_carry = np.zeros((b, h_size))
         for t in range(t_len - 1, -1, -1):
             dh = d_hidden[:, t] + dh_carry
-            i, f, g, o = gi[:, t], gf[:, t], gg[:, t], go[:, t]
+            gt = gates[:, t]
+            i, f = gt[:, :h_size], gt[:, h_size:2 * h_size]
+            g, o = gt[:, 2 * h_size:3 * h_size], gt[:, 3 * h_size:]
             tc = tanh_c[:, t]
             do = dh * tc
             dc = dc_carry + dh * o * (1.0 - tc * tc)
-            c_prev = cells[:, t - 1] if t > 0 else cache["c0"]
+            c_prev = cells[:, t - 1] if t > 0 else c0
             di = dc * g
             dg = dc * i
             df = dc * c_prev
@@ -225,7 +234,7 @@ def _backward(net, caches, d_out):
                 axis=1,
             )
             x_t = inputs[:, t]
-            h_prev = hidden[:, t - 1] if t > 0 else cache["h0"]
+            h_prev = hidden[:, t - 1] if t > 0 else h0
             d_w_x += dz.T @ x_t
             d_w_h += dz.T @ h_prev
             d_b += dz.sum(axis=0)
@@ -241,27 +250,34 @@ def _backward(net, caches, d_out):
     return grads
 
 
+def _chunk(net, x, targets, mask, h, c):
+    """One chunk step: (sse, mask count, gradients of sse/count, h, c).
+
+    An all-zero mask gives zero gradients and hands the states back as is.
+    """
+    count = float(mask.sum())
+    if count == 0:
+        return 0.0, 0.0, [np.zeros_like(p) for p in net.parameters()], h, c
+    outputs, caches, h, c = _forward(net, x, h, c)
+    resid = (outputs - targets) * mask
+    sse = float(np.sum(resid * resid))
+    d_out = 2.0 * resid * mask / count
+    return sse, count, _backward(net, caches, d_out), h, c
+
+
 def loss_and_gradients(net, x, targets, mask, h0=None, c0=None):
     """Masked mean squared error over one chunk plus analytic gradients.
 
     ``mask`` is a float array broadcastable to ``targets``; entries with
     mask 0 contribute nothing.  Returned gradients are ordered like
-    :meth:`LstmNetwork.parameters`.
+    :meth:`LstmNetwork.parameters`.  Training runs the same chunk step.
     """
-    b = x.shape[0]
-    if h0 is None:
-        h0 = [np.zeros((b, l.hidden_size)) for l in net.layers]
-    if c0 is None:
-        c0 = [np.zeros((b, l.hidden_size)) for l in net.layers]
-    outputs, caches, _, _ = _forward(net, x, h0, c0)
-    count = float(mask.sum())
-    if count == 0:
-        zero = [np.zeros_like(p) for p in net.parameters()]
-        return 0.0, zero
-    resid = (outputs - targets) * mask
-    loss = float(np.sum(resid * resid) / count)
-    d_out = 2.0 * resid * mask / count
-    return loss, _backward(net, caches, d_out)
+    zeros, _ = _zero_state(net, x.shape[0])
+    sse, count, grads, _, _ = _chunk(
+        net, x, targets, mask,
+        zeros if h0 is None else h0, zeros if c0 is None else c0,
+    )
+    return (sse / count if count else 0.0), grads
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +325,10 @@ def _make_batch(series_list, config):
 # optimizer
 
 class _Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -358,15 +375,16 @@ def compute_norm_stats(series_list, channels):
 
 
 def _epoch_loss(net, config, x, targets, mask):
-    """Forward-only masked MSE over full sequences, chunked like training."""
-    b, t_max, _ = x.shape
-    h = [np.zeros((b, l.hidden_size)) for l in net.layers]
-    c = [np.zeros((b, l.hidden_size)) for l in net.layers]
+    """Forward-only masked MSE over full sequences.
+
+    Residuals are summed per tbptt chunk, which keeps the bits of a
+    chunked pass with carried state.
+    """
+    out, _, _, _ = _forward(net, x, *_zero_state(net, x.shape[0]))
     sse = 0.0
-    for t0 in range(0, t_max, config.tbptt_length):
-        t1 = min(t0 + config.tbptt_length, t_max)
-        out, _, h, c = _forward(net, x[:, t0:t1], h, c)
-        resid = (out - targets[:, t0:t1]) * mask[:, t0:t1]
+    for t0 in range(0, x.shape[1], config.tbptt_length):
+        t1 = t0 + config.tbptt_length
+        resid = (out[:, t0:t1] - targets[:, t0:t1]) * mask[:, t0:t1]
         sse += float(np.sum(resid * resid))
     count = float(mask.sum())
     return sse / count if count else 0.0
@@ -423,7 +441,7 @@ def train(series_list, config, val_series=None):
     best_net = net.copy()
     since_best = 0
     n_series, t_max, _ = x.shape
-    batch = max(1, int(config.series_batch_size))
+    batch = config.series_batch_size
 
     for epoch in range(config.epochs):
         sse = 0.0
@@ -431,22 +449,17 @@ def train(series_list, config, val_series=None):
         for b0 in range(0, n_series, batch):
             rows = order[b0:b0 + batch]
             bx, bt, bm = x[rows], targets[rows], mask[rows]
-            h = [np.zeros((len(rows), l.hidden_size)) for l in net.layers]
-            c = [np.zeros((len(rows), l.hidden_size)) for l in net.layers]
+            h, c = _zero_state(net, len(rows))
             for t0 in range(0, t_max, config.tbptt_length):
-                t1 = min(t0 + config.tbptt_length, t_max)
-                chunk_mask = bm[:, t0:t1]
-                count = float(chunk_mask.sum())
+                t1 = t0 + config.tbptt_length
+                chunk_sse, count, grads, h, c = _chunk(
+                    net, bx[:, t0:t1], bt[:, t0:t1], bm[:, t0:t1], h, c
+                )
                 if count == 0:
                     continue
-                out, caches, h_next, c_next = _forward(net, bx[:, t0:t1], h, c)
-                resid = (out - bt[:, t0:t1]) * chunk_mask
-                sse += float(np.sum(resid * resid))
-                d_out = 2.0 * resid * chunk_mask / count
-                grads = _backward(net, caches, d_out)
+                sse += chunk_sse
                 grads, _ = clip_gradients(grads, config.clip_norm)
                 adam.step(params, grads)
-                h, c = h_next, c_next
         train_loss = sse / float(mask.sum())
         if not math.isfinite(train_loss):
             raise TrainingDivergedError(epoch)
@@ -481,9 +494,7 @@ def predict(net, config, series):
     if len(series) < 2:
         raise ValueError("series too short to predict from")
     x = config.normalize(series, config.input_channels)[np.newaxis]
-    h = [np.zeros((1, l.hidden_size)) for l in net.layers]
-    c = [np.zeros((1, l.hidden_size)) for l in net.layers]
-    out, _, _, _ = _forward(net, x, h, c)
+    out, _, _, _ = _forward(net, x, *_zero_state(net, 1))
     return out[0]
 
 
@@ -522,10 +533,7 @@ def network_to_dict(net, config):
 def network_from_dict(doc):
     if doc.get("kind") != "lstm-network":
         raise ValueError("not an LSTM network document")
-    cfg = dict(doc["config"])
-    for key in ("input_channels", "predicted_channels", "layer_sizes"):
-        cfg[key] = tuple(cfg[key])
-    config = PredictorConfig(**cfg)
+    config = PredictorConfig(**doc["config"])
     layers = [
         LstmLayer(
             np.asarray(l["w_x"], dtype=float),
@@ -544,4 +552,8 @@ def network_from_dict(doc):
     )
     if not dims_ok or net.w_out.shape[0] != config.output_dim:
         raise ValueError("inconsistent dimensions in network document")
+    stats = [v for d in (config.norm_mean, config.norm_std) if d for v in d.values()]
+    numbers = np.concatenate([p.ravel() for p in net.parameters()] + [stats])
+    if not np.isfinite(numbers).all():
+        raise ValueError("network document contains non-finite numbers")
     return net, config

@@ -60,8 +60,13 @@ class GaussianScorer:
         k = self.mean.shape[0]
         if self.covariance.shape != (k, k):
             raise ValueError("covariance shape must match mean dimension")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.covariance).all()):
+            raise ValueError("mean and covariance must be finite")
         if not np.allclose(self.covariance, self.covariance.T, atol=1e-10):
             raise ValueError("covariance must be symmetric")
+        # +-inf thresholds are select_threshold's flag-all/flag-none sentinels
+        if self.threshold is not None and math.isnan(self.threshold):
+            raise ValueError("threshold must not be NaN")
         self._chol = None
 
     @property
@@ -176,12 +181,16 @@ def score_series(net, config, scorer, series):
     """Scores for every point of a series; the first l points get +inf.
 
     +inf marks "no error vector yet"; those points can never fall below a
-    finite threshold, matching the normal-by-convention warm-up rule.
+    finite threshold, matching the normal-by-convention warm-up rule.  A
+    residual so large that the density overflows to NaN scores -inf, so
+    the point is flagged rather than passed as normal.
     """
     preds = predict(net, config, series)
     errors = error_vectors(preds, series, config)
+    density = log_likelihood_batch(scorer, errors)
     scores = np.full(len(series), math.inf)
-    scores[config.prediction_length:] = log_likelihood_batch(scorer, errors)
+    scores[config.prediction_length:] = np.where(np.isnan(density), -math.inf,
+                                                 density)
     return scores
 
 

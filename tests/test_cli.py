@@ -221,6 +221,45 @@ class TestPipelineHandoff:
         assert "NaN" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_detect_flags_overflowed_score(self, artifacts, data_dir, tmp_path):
+        # read_csv accepts the value (it is finite); against a tight
+        # covariance the density overflows to NaN
+        doc = json.load(open(artifacts["scorer"]))
+        doc["covariance"] = [[0.01 * (i == j) for j in range(doc["dim"])]
+                             for i in range(doc["dim"])]
+        scorer = tmp_path / "scorer.json"
+        scorer.write_text(json.dumps(doc))
+        row = 50
+        lines = open(os.path.join(data_dir, "test", "series_000.csv")).read()
+        lines = lines.splitlines()
+        col = lines[0].split(",").index("response")
+        fields = lines[row + 1].split(",")
+        fields[col] = "1.7976931348623157e308"
+        lines[row + 1] = ",".join(fields)
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "detections"
+        assert run(
+            "detect", "--net", artifacts["net"], "--scorer", str(scorer),
+            "--data", str(data), "--out", str(out),
+        ) == 0
+        detections = (out / "huge.detections.csv").read_text().splitlines()
+        assert detections[row + 1].split(",")[1:] == ["-inf", "1"]
+
+    def test_detect_with_nan_threshold_scorer_exits_1(self, artifacts, data_dir,
+                                                      tmp_path, capsys):
+        doc = json.load(open(artifacts["scorer"]))
+        doc["threshold"] = math.nan
+        scorer = tmp_path / "scorer.json"
+        scorer.write_text(json.dumps(doc))
+        out = tmp_path / "detections"
+        assert run(
+            "detect", "--net", artifacts["net"], "--scorer", str(scorer),
+            "--data", os.path.join(data_dir, "test"), "--out", str(out),
+        ) == 1
+        assert "NaN" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_channel_is_runtime_error(self, artifacts, data_dir):
         assert run(
             "fit-ode", "--data", os.path.join(data_dir, "small", "series_000.csv"),

@@ -1,5 +1,7 @@
 """Network forward/backward correctness, training behaviour, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from odeaug.errors import TrainingDivergedError
 from odeaug.lstm import (PredictorConfig, init_network,
                          loss_and_gradients, make_targets, network_from_dict,
                          network_to_dict, predict, train)
+from odeaug.lstm import _forward, _zero_state
 from odeaug.series import TimeSeries
 
 
@@ -83,6 +86,47 @@ class TestGradients:
         p[0, 0] = orig
         fd = (lp - lm) / (2 * step)
         assert abs(g[0, 0] - fd) / max(abs(fd), 1e-8) < 1e-4
+
+
+class TestSinglePath:
+    def test_chunked_forward_with_carried_state_is_bit_identical(self):
+        # training's tbptt loop and the one-pass validation loss rely on this
+        config = toy_config(layer_sizes=(16, 8))
+        net = init_network(config)
+        x = np.random.default_rng(6).normal(size=(4, 23, 2))
+        full, _, h_full, c_full = _forward(net, x, *_zero_state(net, 4))
+        h, c = _zero_state(net, 4)
+        pieces = []
+        for t0 in range(0, 23, 5):
+            out, _, h, c = _forward(net, x[:, t0:t0 + 5], h, c)
+            pieces.append(out)
+        assert np.array_equal(np.concatenate(pieces, axis=1), full)
+        for a, b in zip(h + c, h_full + c_full):
+            assert np.array_equal(a, b)
+
+    def test_all_zero_mask_gives_zero_loss_and_gradients(self):
+        config = toy_config()
+        net = init_network(config)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, 4, 2))
+        targets = rng.normal(size=(2, 4, config.output_dim))
+        loss, grads = loss_and_gradients(net, x, targets, np.zeros_like(targets))
+        assert loss == 0.0
+        assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+        assert not any(g.any() for g in grads)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("tbptt_length", 0), ("tbptt_length", 8.0), ("series_batch_size", 0),
+    ("series_batch_size", -4), ("series_batch_size", 2.5),
+    ("epochs", 0), ("patience", 0), ("val_fraction", 1.0),
+    ("val_fraction", 1.5), ("val_fraction", -0.1), ("learning_rate", 0.0),
+    ("learning_rate", -1e-3), ("learning_rate", math.inf),
+    ("learning_rate", math.nan), ("clip_norm", -1.0), ("clip_norm", math.nan),
+])
+def test_config_rejects_bad_value(name, value):
+    with pytest.raises(ValueError, match=name):
+        toy_config(**{name: value})
 
 
 class TestPredict:
@@ -271,4 +315,24 @@ class TestSerialization:
         doc = network_to_dict(net, config)
         doc["w_out"] = [[0.0]]
         with pytest.raises(ValueError, match="dimension"):
+            network_from_dict(doc)
+
+    @pytest.mark.parametrize("path, value", [
+        (("w_out", 0, 0), math.nan),
+        (("b_out", 0), math.inf),
+        (("layers", 0, "b", 1), math.nan),
+        (("layers", 1, "w_h", 0, 0), -math.inf),
+        (("config", "norm_mean", "a"), math.nan),
+        (("config", "norm_std", "b"), math.inf),
+    ])
+    def test_non_finite_numbers_rejected(self, path, value):
+        config = toy_config()
+        config.norm_mean = {"a": 0.3, "b": 0.6}
+        config.norm_std = {"a": 1.2, "b": 0.8}
+        doc = network_to_dict(init_network(config), config)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError, match="non-finite"):
             network_from_dict(doc)

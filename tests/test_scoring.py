@@ -10,6 +10,7 @@ from odeaug.lstm import PredictorConfig, init_network, predict
 from odeaug.scoring import (GaussianScorer, detect, error_vectors, fit_gaussian,
                             log_likelihood, log_likelihood_batch,
                             scorer_from_dict, scorer_to_dict, select_threshold)
+from odeaug.scoring import score_series
 from odeaug.series import TimeSeries
 
 
@@ -280,6 +281,23 @@ class TestDetect:
         base = detect(net, config, scorer, series)
         assert base[2:].any() and not base.all()
 
+    def test_overflowed_score_is_flagged(self):
+        # a finite residual near the float maximum overflows the solve to
+        # NaN; the point must score -inf and be flagged, not pass
+        config = identity_config(prediction_length=3)
+        net = init_network(config)
+        values = np.random.default_rng(4).normal(size=(30, 1))
+        values[10, 0] = 1.7976931348623157e308
+        series = TimeSeries(["x"], 1.0, values)
+        scorer = GaussianScorer(mean=np.zeros(3), covariance=0.01 * np.eye(3),
+                                threshold=-50.0)
+        with np.errstate(all="ignore"):
+            scores = score_series(net, config, scorer, series)
+            mask = detect(net, config, scorer, series)
+        assert scores[10] == -math.inf
+        assert mask[10]
+        assert not np.isnan(scores).any()
+
 
 class TestScorerSerialization:
     def test_round_trip(self):
@@ -295,3 +313,23 @@ class TestScorerSerialization:
         assert log_likelihood(back, e) == pytest.approx(
             log_likelihood(scorer, e), abs=1e-12
         )
+
+    @pytest.mark.parametrize("key, value", [
+        ("mean", [math.nan, 0.0]),
+        ("covariance", [[1.0, 0.0], [0.0, math.inf]]),
+        ("threshold", math.nan),
+    ])
+    def test_non_finite_numbers_rejected(self, key, value):
+        doc = scorer_to_dict(GaussianScorer(mean=np.zeros(2),
+                                            covariance=np.eye(2),
+                                            threshold=-1.0))
+        doc[key] = value
+        with pytest.raises(ValueError, match="finite|NaN"):
+            scorer_from_dict(doc)
+
+    def test_infinite_threshold_sentinels_load(self):
+        for tau in (-math.inf, math.inf):
+            doc = scorer_to_dict(GaussianScorer(mean=np.zeros(2),
+                                                covariance=np.eye(2),
+                                                threshold=tau))
+            assert scorer_from_dict(doc).threshold == tau
