@@ -10,6 +10,7 @@ all of them.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -114,6 +115,17 @@ class OdeParams:
         return self.windows[-1][2]
 
 
+def _check_arity(structure, windows):
+    """Return ``windows`` after checking each parameter tuple's length."""
+    for start, end, p in windows:
+        if len(p) != structure.param_count:
+            raise ValueError(
+                f"{structure.id} expects {structure.param_count} parameters, "
+                f"window [{start},{end}) has {len(p)}"
+            )
+    return windows
+
+
 def stability_notes(structure, params):
     """Human-readable warnings for parameter regimes known to be unstable."""
     notes = []
@@ -161,42 +173,69 @@ class SeriesPair:
 def integrate(structure, params, control, x0, dt, abs_bound=None):
     """Fixed-step classical Runge-Kutta trajectory under a sampled control.
 
-    ``params`` is an :class:`OdeParams` or one parameter vector for the
-    whole span.  The control is held constant over each sample for the
-    intra-step stages.  Returns one value per control sample, starting at
-    ``x0``.
+    ``params`` is an :class:`OdeParams`, one parameter vector for the
+    whole span, or a ``(P, k)`` swarm of such vectors.  The control is held
+    constant over each sample for the intra-step stages.  Returns one value
+    per control sample, starting at ``x0``: an ``(n,)`` array, or ``(P, n)``
+    for a swarm, whose rows are stepped together in one time loop with the
+    same float64 arithmetic as ``P`` single calls.
 
     Raises
     ------
     DivergenceError
         If the state becomes non-finite, or ``abs_bound`` is given and
         ``|x|`` exceeds it.  The error carries the offending step index.
+        A swarm does not raise; each diverged row is NaN from that step on.
     """
-    if not isinstance(params, OdeParams):
-        params = OdeParams.single(params, len(control))
     control = np.asarray(control, dtype=float)
     n = control.shape[0]
     if n < 1:
         raise ValueError("control must contain at least one sample")
     if not (dt > 0):
         raise ValueError("dt must be positive")
+    swarm = isinstance(params, np.ndarray) and params.ndim == 2
+    if swarm:
+        if not np.all(np.isfinite(params)):
+            raise ValueError("swarm parameters must be finite")
+        # one window whose parameters are P-length columns
+        windows = [(0, n, tuple(np.ascontiguousarray(params.T, dtype=float)))]
+        x = np.full(params.shape[0], float(x0))
+        out = np.empty((params.shape[0], n))
+    else:
+        if not isinstance(params, OdeParams):
+            params = OdeParams.single(params, n)
+        windows = params.windows
+        x = float(x0)
+        out = np.empty(n)
+    _check_arity(structure, windows)
     rhs = structure.rhs
-    out = np.empty(n)
-    x = float(x0)
-    out[0] = x
+    out[..., 0] = x
     half = 0.5 * dt
     sixth = dt / 6.0
-    for i in range(n - 1):
-        u = control[i]
-        p = params.params_at(i)
-        k1 = rhs(p, x, u)
-        k2 = rhs(p, x + half * k1, u)
-        k3 = rhs(p, x + half * k2, u)
-        k4 = rhs(p, x + dt * k3, u)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not math.isfinite(x) or (abs_bound is not None and abs(x) > abs_bound):
-            raise DivergenceError(i + 1)
-        out[i + 1] = x
+    # step i runs under the first window with i < end; the last window also
+    # covers every step past its end (the clamping of OdeParams.params_at)
+    stops = [min(max(end, 0), n - 1) for _, end, _ in windows[:-1]] + [n - 1]
+    with np.errstate(all="ignore"):
+        for start, stop, (_, _, p) in zip([0] + stops, stops, windows):
+            for i in range(start, stop):
+                u = control[i]
+                k1 = rhs(p, x, u)
+                k2 = rhs(p, x + half * k1, u)
+                k3 = rhs(p, x + half * k2, u)
+                k4 = rhs(p, x + dt * k3, u)
+                x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+                out[..., i + 1] = x
+        # every step is stored, so the first bad one is found exactly
+        steps = out[..., 1:]
+        bad = ~np.isfinite(steps)
+        if abs_bound is not None:
+            bad |= np.abs(steps) > abs_bound
+    if not swarm:
+        if bad.any():
+            raise DivergenceError(int(np.argmax(bad)) + 1)
+        return out
+    for row in np.flatnonzero(bad.any(axis=-1)):
+        out[row, int(np.argmax(bad[row])) + 1:] = np.nan
     return out
 
 
@@ -204,7 +243,8 @@ def integration_rmse(structure, params, pair, abs_bound=None):
     """RMSE between the observed dependent channel and the integrated model.
 
     Integration starts from the first observed dependent sample.  A
-    diverging trajectory scores ``inf`` instead of raising.
+    diverging trajectory scores ``inf`` instead of raising.  A ``(P, k)``
+    swarm of parameter vectors gives a ``(P,)`` array of scores.
     """
     try:
         traj = integrate(
@@ -217,7 +257,14 @@ def integration_rmse(structure, params, pair, abs_bound=None):
         )
     except DivergenceError:
         return math.inf
-    return float(np.sqrt(np.mean((traj - pair.dependent) ** 2)))
+    if traj.ndim == 1:
+        return float(np.sqrt(np.mean((traj - pair.dependent) ** 2)))
+    # diverged rows end in NaN; row means along the contiguous last axis
+    # match the single-trajectory np.mean bit for bit
+    ok = ~np.isnan(traj[:, -1])
+    rmse = np.full(traj.shape[0], math.inf)
+    rmse[ok] = np.sqrt(np.mean((traj[ok] - pair.dependent) ** 2, axis=1))
+    return rmse
 
 
 def _divergence_bound(dependent):
@@ -244,6 +291,17 @@ class SgdConfig:
     lr_decay: float = 0.3
     average_fraction: float = 0.4
 
+    def __post_init__(self):
+        if not (isinstance(self.epochs, numbers.Integral) and self.epochs >= 1):
+            raise ValueError("sgd epochs must be an integer >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("sgd learning_rate must be finite and positive")
+        for name in ("warmup_fraction", "average_fraction"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"sgd {name} must be in [0, 1]")
+        if not self.lr_decay >= 0:
+            raise ValueError("sgd lr_decay must be >= 0")
+
 
 @dataclass
 class PsoConfig:
@@ -253,6 +311,15 @@ class PsoConfig:
     cognitive: float = 1.49
     social: float = 1.49
     seed: int = 0
+
+    def __post_init__(self):
+        for name, low in (("swarm_size", 1), ("iterations", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= low):
+                raise ValueError(f"pso {name} must be an integer >= {low}")
+        for name in ("inertia", "cognitive", "social"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"pso {name} must be finite")
 
 
 @dataclass
@@ -303,10 +370,10 @@ def _sgd_minimize(targets, rows, offsets, config, rng):
     """
     n, n_params = rows.shape
     pre = 1.0 / np.maximum(np.mean(rows * rows, axis=0), 1e-300)
-    # plain-float rows: the per-point loop is an order of magnitude faster
-    # than boxed numpy scalars
-    feat_rows = [tuple(row) for row in rows]
-    pf_rows = [tuple(row) for row in rows * pre]
+    # plain-float rows (tolist, not tuple(row), which boxes numpy scalars):
+    # the per-point loop is an order of magnitude faster on Python floats
+    feat_rows = rows.tolist()
+    pf_rows = (rows * pre).tolist()
     y_off = (targets - offsets).tolist()
     p_work = [0.0] * n_params
     k_range = range(n_params)
@@ -453,12 +520,6 @@ def refine_pso(candidates, pair, structure, config=None):
     cand = [tuple(float(v) for v in c) for c in candidates]
     dim = len(cand[0])
     bound = _divergence_bound(pair.dependent)
-
-    def objective(vec):
-        return integration_rmse(
-            structure, OdeParams.single(vec, len(pair)), pair, abs_bound=bound
-        )
-
     rng = np.random.default_rng(
         np.random.SeedSequence([_seed_entropy(config.seed), 202])
     )
@@ -475,7 +536,9 @@ def refine_pso(candidates, pair, structure, config=None):
     # evaluated after they move
     pbest = x.copy()
     pbest_f = np.full(n_particles, math.inf)
-    pbest_f[: len(cand)] = [objective(xi) for xi in x[: len(cand)]]
+    pbest_f[: len(cand)] = integration_rmse(
+        structure, x[: len(cand)], pair, abs_bound=bound
+    )
     g_idx = int(np.argmin(pbest_f))
     gbest, gbest_f = pbest[g_idx].copy(), float(pbest_f[g_idx])
 
@@ -486,7 +549,7 @@ def refine_pso(candidates, pair, structure, config=None):
              + config.cognitive * r1 * (pbest - x)
              + config.social * r2 * (gbest - x))
         x = x + v
-        fitness = np.array([objective(xi) for xi in x])
+        fitness = integration_rmse(structure, x, pair, abs_bound=bound)
         improved = fitness < pbest_f
         pbest[improved] = x[improved]
         pbest_f[improved] = fitness[improved]
@@ -507,8 +570,8 @@ def fit(pair, structure=LINEAR1, config=None):
 
     Runs the gradient stage over ``config.drop_fractions`` per window and
     keeps the candidate with the lowest integration RMSE; the swarm
-    refinement runs only when ``config.use_pso`` is set (it rarely moves
-    the simple built-in structure).  The report's RMSE is re-evaluated on
+    refinement, seeded with every candidate, runs only when
+    ``config.use_pso`` is set.  The report's RMSE is re-evaluated on
     the assembled window parameters, so it is self-consistent by
     construction.
     """
@@ -572,4 +635,4 @@ def params_from_dict(doc):
         raise ValueError("not an ODE model document")
     structure = get_structure(doc["structure"])
     windows = [(w["start"], w["end"], tuple(w["params"])) for w in doc["windows"]]
-    return structure, OdeParams(windows)
+    return structure, OdeParams(_check_arity(structure, windows))

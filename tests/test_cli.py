@@ -267,6 +267,34 @@ class TestPipelineHandoff:
             "--out", "/tmp/never.json",
         ) == 1
 
+    def test_fit_ode_with_zero_epoch_config_exits_1(self, data_dir, tmp_path,
+                                                    capsys):
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({"sgd": {"epochs": 0}}))
+        out = tmp_path / "model.json"
+        assert run(
+            "fit-ode", "--data", os.path.join(data_dir, "small", "series_000.csv"),
+            "--control", "control", "--dependent", "response",
+            "--config", str(config), "--out", str(out),
+        ) == 1
+        assert "epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_augment_with_wrong_arity_model_exits_1(self, artifacts, tmp_path,
+                                                    capsys):
+        doc = json.load(open(artifacts["models"][0]))
+        for window in doc["windows"]:
+            window["params"] = window["params"][:2]
+        model = tmp_path / "short_model.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "generated"
+        assert run(
+            "augment", "--profile", artifacts["profile"], "--models", str(model),
+            "--count", "2", "--length", "100", "--seed", "4", "--out", str(out),
+        ) == 1
+        assert "expects 3 parameters" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExperimentCommands:
     def test_experiment_and_curve(self, tmp_path, bench_config):

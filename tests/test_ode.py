@@ -1,15 +1,18 @@
 """ODE evaluation, integration, and the two-stage fit against oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
 from odeaug.errors import (DivergenceError, RefinementFailedError,
                            UnidentifiableError)
 from odeaug.ode import (LINEAR1, FitConfig, OdeParams, PsoConfig, SeriesPair,
-                        evaluate_rhs, fit, fit_gradient_sgd,
+                        SgdConfig, evaluate_rhs, fit, fit_gradient_sgd,
                         integrate, integration_rmse, params_from_dict,
                         params_to_dict, refine_pso, stability_notes,
-                        _retained_indices)
+                        _candidate_box, _divergence_bound, _retained_indices,
+                        _seed_entropy)
 from odeaug.series import derivative, moving_average
 
 
@@ -258,3 +261,150 @@ class TestFit:
         report = fit(pair, LINEAR1, FitConfig(seed=0))
         assert 0.0 <= report.dropped_fraction < 0.5
         assert report.dropped_fraction == report.candidates[0].drop_fraction
+
+
+@pytest.mark.parametrize("config, name, value", [
+    (SgdConfig, "epochs", 0), (SgdConfig, "epochs", 2.5),
+    (SgdConfig, "learning_rate", 0.0), (SgdConfig, "learning_rate", math.inf),
+    (SgdConfig, "learning_rate", math.nan),
+    (SgdConfig, "warmup_fraction", -0.1), (SgdConfig, "warmup_fraction", 1.5),
+    (SgdConfig, "average_fraction", 1.01),
+    (SgdConfig, "average_fraction", math.nan),
+    (SgdConfig, "lr_decay", -0.3), (SgdConfig, "lr_decay", math.nan),
+    (PsoConfig, "swarm_size", 0), (PsoConfig, "swarm_size", 3.0),
+    (PsoConfig, "iterations", -5), (PsoConfig, "inertia", math.nan),
+    (PsoConfig, "cognitive", math.inf), (PsoConfig, "social", -math.inf),
+])
+def test_fit_config_rejects_bad_value(config, name, value):
+    with pytest.raises(ValueError, match=name):
+        config(**{name: value})
+
+
+class TestParameterArity:
+    def test_document_with_short_window_rejected(self):
+        doc = params_to_dict(LINEAR1, OdeParams.single((1.0, 0.5, 0.0), 10))
+        doc["windows"][0]["params"] = [1.0, 0.5]
+        with pytest.raises(ValueError, match="expects 3 parameters"):
+            params_from_dict(doc)
+
+    @pytest.mark.parametrize("params", [
+        (1.0, 0.5),
+        OdeParams([(0, 5, (1.0, 0.5, 0.0)), (5, 10, (1.0, 0.5, 0.0, 2.0))]),
+        np.ones((4, 2)),
+    ])
+    def test_integrate_rejects_wrong_arity(self, params):
+        with pytest.raises(ValueError, match="expects 3 parameters"):
+            integrate(LINEAR1, params, np.ones(10), 0.0, 0.1)
+
+    def test_empty_control_reported_before_params(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            integrate(LINEAR1, (1.0, 0.5, 0.0), np.array([]), 0.0, 0.1)
+
+
+def reference_pso(candidates, pair, config):
+    """The swarm with one integration per particle, as a plain loop."""
+    cand = [tuple(float(v) for v in c) for c in candidates]
+    bound = _divergence_bound(pair.dependent)
+
+    def objective(vec):
+        return integration_rmse(
+            LINEAR1, OdeParams.single(vec, len(pair)), pair, abs_bound=bound
+        )
+
+    rng = np.random.default_rng(
+        np.random.SeedSequence([_seed_entropy(config.seed), 202])
+    )
+    n_particles = max(config.swarm_size, len(cand))
+    lo, hi = _candidate_box(cand)
+    x = np.empty((n_particles, len(cand[0])))
+    x[: len(cand)] = cand
+    if n_particles > len(cand):
+        x[len(cand):] = rng.uniform(lo, hi, size=(n_particles - len(cand), x.shape[1]))
+    v = np.zeros_like(x)
+    pbest = x.copy()
+    pbest_f = np.full(n_particles, np.inf)
+    for i in range(len(cand)):
+        pbest_f[i] = objective(x[i])
+    g_idx = int(np.argmin(pbest_f))
+    gbest, gbest_f = pbest[g_idx].copy(), float(pbest_f[g_idx])
+    diverged = 0
+    for _ in range(config.iterations):
+        r1 = rng.random(x.shape)
+        r2 = rng.random(x.shape)
+        v = (config.inertia * v
+             + config.cognitive * r1 * (pbest - x)
+             + config.social * r2 * (gbest - x))
+        x = x + v
+        fitness = np.array([objective(xi) for xi in x])
+        diverged += int(np.sum(np.isinf(fitness)))
+        improved = fitness < pbest_f
+        pbest[improved] = x[improved]
+        pbest_f[improved] = fitness[improved]
+        g_idx = int(np.argmin(pbest_f))
+        if pbest_f[g_idx] < gbest_f:
+            gbest, gbest_f = pbest[g_idx].copy(), float(pbest_f[g_idx])
+    return tuple(float(v) for v in gbest), gbest_f, diverged
+
+
+class TestSwarm:
+    def test_rows_match_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        u = rng.uniform(0.1, 0.9, 257)
+        swarm = np.column_stack([
+            rng.uniform(0.5, 2.0, 9), rng.uniform(0.1, 1.5, 9),
+            rng.uniform(-0.3, 0.3, 9),
+        ])
+        traj = integrate(LINEAR1, swarm, u, 0.4, 0.1, abs_bound=1e6)
+        assert traj.shape == (9, 257)
+        for row, params in zip(traj, swarm):
+            single = integrate(LINEAR1, params, u, 0.4, 0.1, abs_bound=1e6)
+            assert row.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("abs_bound", [None, 100.0])
+    def test_diverged_rows_are_nan_from_the_reported_step(self, abs_bound):
+        n, dt = 300, 0.1
+        u = np.zeros(n)
+        u[10:20] = 1.0
+        swarm = np.array([
+            [1.0, 0.5, 0.0],        # relaxes to rest
+            [0.0, -80.0, 0.0],      # grows to inf
+            [1.0, -800.0, 1.0],     # grows faster
+            [200.0, 1.0, 0.0],      # the pulse peaks near 126, then relaxes
+            [2.0, 0.7, 0.1],
+        ])
+        pair = SeriesPair(u, np.linspace(1.0, 2.0, n), dt)
+        traj = integrate(LINEAR1, swarm, u, 1.0, dt, abs_bound=abs_bound)
+        rmse = integration_rmse(LINEAR1, swarm, pair, abs_bound=abs_bound)
+        assert rmse.dtype == np.float64 and rmse.shape == (5,)
+        diverged = 0
+        for row, params, score in zip(traj, swarm, rmse):
+            try:
+                single = integrate(LINEAR1, params, u, 1.0, dt, abs_bound=abs_bound)
+            except DivergenceError as err:
+                diverged += 1
+                step = err.step_index
+                assert np.all(np.isfinite(row[:step]))
+                assert np.all(np.isnan(row[step:]))
+                assert score == np.inf
+            else:
+                assert row.tobytes() == single.tobytes()
+                assert score == integration_rmse(LINEAR1, params, pair,
+                                                 abs_bound=abs_bound)
+        assert diverged == (2 if abs_bound is None else 3)
+        # the pulse row crossed the bound and came back below it
+        back = integrate(LINEAR1, swarm[3], u, 1.0, dt)
+        assert np.max(back) > 100.0 > back[-1]
+
+    @pytest.mark.parametrize("candidates, seed, iterations, some_diverge", [
+        ([(1.0, 0.5, 0.0), (2.0, 1.2, 0.4)], 4, 15, False),
+        ([(1.4, 0.75, 0.18), (0.0, -80.0, 0.0)], 7, 12, True),
+    ])
+    def test_refine_pso_matches_per_particle_loop(self, candidates, seed,
+                                                  iterations, some_diverge):
+        pair = two_level_pair((1.5, 0.8, 0.2), noise=0.02, seed=9)
+        config = PsoConfig(seed=seed, iterations=iterations)
+        params, rmse = refine_pso(candidates, pair, LINEAR1, config)
+        ref_params, ref_rmse, diverged = reference_pso(candidates, pair, config)
+        assert params == ref_params
+        assert rmse == ref_rmse
+        assert (diverged > 0) == some_diverge
