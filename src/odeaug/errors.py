@@ -50,11 +50,21 @@ class GenerationError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Network training produced a non-finite loss."""
+    """Network training produced a non-finite loss; ``job`` indexes the
+    training job that diverged."""
 
-    def __init__(self, epoch, message=None):
+    def __init__(self, epoch, message=None, job=0):
         self.epoch = epoch
+        self.job = job
         super().__init__(message or f"training loss became non-finite at epoch {epoch}")
+
+
+class InvalidJobError(ValueError):
+    """A training job cannot be trained; ``job`` is its index in the call."""
+
+    def __init__(self, job, message):
+        self.job = job
+        super().__init__(message)
 
 
 class DegenerateLabelsError(ValueError):

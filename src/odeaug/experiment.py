@@ -15,7 +15,10 @@ import numpy as np
 from .augment import AugmentationPlan, FittedPair, generate_series_pair
 from .benchmark import CONTROL_CHANNEL, RESPONSE_CHANNEL
 from .control import AUTO, build_profile, pair_features, segment_control
-from .lstm import PredictorConfig, predict, train
+from .errors import InvalidJobError, TrainingDivergedError
+# ``train`` is not called here; perfbench/tracing.py wraps it by this
+# module's name.
+from .lstm import PredictorConfig, predict, train, train_many  # noqa: F401
 from .metrics import MetricsReport, RegimeRow, prf_metrics
 from .ode import LINEAR1, SeriesPair, fit
 from .scoring import (detect, error_vectors, fit_gaussian, score_series,
@@ -104,16 +107,29 @@ def _predictor_config(benchmark):
     )
 
 
-def evaluate_training_set(train_series, benchmark):
-    """Train, fit the scorer, pick the threshold, and score the test set.
+def _train_networks(benchmark, labels, train_sets):
+    """Train one network per training set in one stacked pass.
+
+    Returns [(network, config), ...].  A job that fails is re-raised with
+    its label attached.
+    """
+    configs = [_predictor_config(benchmark) for _ in labels]
+    jobs = [(list(train_series), config, benchmark.val_normal)
+            for train_series, config in zip(train_sets, configs)]
+    try:
+        trained = train_many(jobs)
+    except (InvalidJobError, TrainingDivergedError) as exc:
+        raise RuntimeError(f"regime {labels[exc.job]}: {exc}") from exc
+    return [(net, config) for (net, _), config in zip(trained, configs)]
+
+
+def evaluate_network(net, config, benchmark):
+    """Fit the scorer, pick the threshold, and score the test set.
 
     Returns (precision, recall, f_score) on the pooled point-wise test
-    masks.  Pure function of (training list, benchmark): the network seed,
-    validation sets, and test set are all fixed by the benchmark.
+    masks.  Pure function of (network, benchmark): the validation sets and
+    the test set are fixed by the benchmark.
     """
-    config = _predictor_config(benchmark)
-    net, _ = train(list(train_series), config, val_series=benchmark.val_normal)
-
     pooled = []
     for series in benchmark.val_normal:
         preds = predict(net, config, series)
@@ -137,6 +153,13 @@ def evaluate_training_set(train_series, benchmark):
     return prf_metrics(np.concatenate(predicted), np.concatenate(actual))
 
 
+def _evaluate(label, net, config, benchmark):
+    try:
+        return evaluate_network(net, config, benchmark)
+    except Exception as exc:
+        raise RuntimeError(f"regime {label}: {exc}") from exc
+
+
 def _training_sets(benchmark, regimes):
     need_generated = any("ODE(s)" in r for r in regimes)
     generated = build_generated(benchmark)[0] if need_generated else []
@@ -153,24 +176,22 @@ def _training_sets(benchmark, regimes):
 def run_experiment(benchmark, regimes=REGIMES):
     """Evaluate each requested regime on the shared test set.
 
-    Rows appear in canonical order.  Stage failures are re-raised with the
-    regime name attached.
+    The regimes' networks train in one stacked pass.  Rows appear in
+    canonical order.  Stage failures are re-raised with the regime name
+    attached.
     """
     regimes = list(regimes)
     unknown = [r for r in regimes if r not in REGIMES]
     if unknown:
         raise ValueError(f"unknown regimes {unknown}; choose from {list(REGIMES)}")
     sets, _ = _training_sets(benchmark, regimes)
+    names = [name for name in REGIMES if name in regimes]
+    trained = _train_networks(benchmark, names, [sets[name] for name in names])
 
     rows = []
-    for name in REGIMES:
-        if name not in regimes:
-            continue
+    for name, (net, config) in zip(names, trained):
         train_series = sets[name]
-        try:
-            precision, recall, f_score = evaluate_training_set(train_series, benchmark)
-        except Exception as exc:
-            raise RuntimeError(f"regime {name}: {exc}") from exc
+        precision, recall, f_score = _evaluate(name, net, config, benchmark)
         rows.append(
             RegimeRow(
                 regime=name,
@@ -195,7 +216,8 @@ def augmentation_curve(benchmark, fractions):
     ``fractions`` must be sorted ascending and contain 0.  Fraction q
     trains on S(r) plus the first floor(q * n_generated) generated series;
     endpoints therefore reproduce the S(r) and S(r)+ODE(s) regime rows
-    exactly under a shared seed.
+    exactly under a shared seed.  The fractions' networks train in one
+    stacked pass; a failure is re-raised naming its fraction.
     """
     fractions = [float(q) for q in fractions]
     if not fractions or fractions != sorted(fractions) or fractions[0] != 0.0:
@@ -204,13 +226,12 @@ def augmentation_curve(benchmark, fractions):
         raise ValueError("fractions must lie in [0, 1]")
 
     generated, _ = build_generated(benchmark)
-    curve = []
-    for q in fractions:
-        k = int(np.floor(q * len(generated)))
-        train_series = benchmark.small + generated[:k]
-        _, _, f_score = evaluate_training_set(train_series, benchmark)
-        curve.append((q, f_score))
-    return curve
+    labels = [f"fraction {q:g}" for q in fractions]
+    train_sets = [benchmark.small + generated[:int(np.floor(q * len(generated)))]
+                  for q in fractions]
+    trained = _train_networks(benchmark, labels, train_sets)
+    return [(q, _evaluate(label, net, config, benchmark)[2])
+            for q, label, (net, config) in zip(fractions, labels, trained)]
 
 
 def curve_to_csv_text(curve):

@@ -11,13 +11,14 @@ holds the prediction of channel ``c`` at horizon ``i``, made at the
 current step.  Predictions are in normalized (z-scored) units.
 """
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingDivergedError
+from .errors import InvalidJobError, TrainingDivergedError
 
 _STD_FLOOR = 1e-12
 
@@ -99,7 +100,7 @@ class LstmLayer:
 
     @property
     def hidden_size(self):
-        return self.w_h.shape[1]
+        return self.w_h.shape[-1]
 
 
 @dataclass
@@ -116,12 +117,11 @@ class LstmNetwork:
         arrays.extend([self.w_out, self.b_out])
         return arrays
 
-    def copy(self):
-        return LstmNetwork(
-            [LstmLayer(l.w_x.copy(), l.w_h.copy(), l.b.copy()) for l in self.layers],
-            self.w_out.copy(),
-            self.b_out.copy(),
-        )
+
+def _network(arrays):
+    """The network whose :meth:`LstmNetwork.parameters` are ``arrays``."""
+    layers = [LstmLayer(*arrays[i:i + 3]) for i in range(0, len(arrays) - 2, 3)]
+    return LstmNetwork(layers, arrays[-2], arrays[-1])
 
 
 def init_network(config, rng=None):
@@ -147,83 +147,98 @@ def init_network(config, rng=None):
 
 # ---------------------------------------------------------------------------
 # forward / backward over one chunk
+#
+# These run one network, or a stack of networks whose arrays carry a
+# leading model axis: x is then (M, B, T, D_in) and each state (M, B, H).
+# A stacked product makes the same per-slice BLAS call as the product of
+# one network, so a model's numbers do not depend on what it is stacked
+# with, and zero rows padded onto a batch add exact zeros.  A one-row
+# batch is the exception: (1, n) @ (n, k) goes through gemv, the same row
+# padded to more rows through gemm, and the two differ in the last bits.
+# So a one-row batch is stacked only with other one-row batches.
 
-def _zero_state(net, b):
-    """Zero (h, c) states for a batch of ``b``; both share one list of
-    per-layer arrays, which nothing writes into."""
-    zeros = [np.zeros((b, l.hidden_size)) for l in net.layers]
+def _zero_state(net, *batch_shape):
+    """Zero (h, c) states of shape ``batch_shape + (H,)``; both share one
+    list of per-layer arrays, which nothing writes into."""
+    zeros = [np.zeros(batch_shape + (l.hidden_size,)) for l in net.layers]
     return zeros, zeros
 
 
 def _forward(net, x, h0, c0):
-    """Run the stack over a chunk.  x: (B, T, D_in).
+    """Run the stack over a chunk.  x: (..., B, T, D_in).
 
-    Returns (outputs (B, T, K), caches, h_final, c_final) where the final
-    states are lists per layer for carrying across chunks.  A layer's cache
-    is (inputs, gates (B, T, 4H) as i|f|g|o, cells, tanh_c, hidden, h0, c0).
+    Returns (outputs (..., B, T, K), caches, h_final, c_final) where the
+    final states are lists per layer for carrying across chunks.  A layer's
+    cache is (inputs, gates (..., B, T, 4H) as i|f|g|o, cells, tanh_c,
+    hidden, h0, c0).
     """
-    b, t_len, _ = x.shape
+    t_len = x.shape[-2]
     inputs = x
     caches = []
     h_finals, c_finals = [], []
     for li, layer in enumerate(net.layers):
         h_size = layer.hidden_size
+        w_x_t = np.swapaxes(layer.w_x, -1, -2)
+        w_h_t = np.swapaxes(layer.w_h, -1, -2)
+        bias = layer.b[..., np.newaxis, :]
         h = h0[li]
         c = c0[li]
-        gates = np.empty((b, t_len, 4 * h_size))
-        cells = np.empty((b, t_len, h_size))
-        tanh_c = np.empty((b, t_len, h_size))
-        hidden = np.empty((b, t_len, h_size))
+        gates = np.empty(x.shape[:-1] + (4 * h_size,))
+        cells = np.empty(x.shape[:-1] + (h_size,))
+        tanh_c = np.empty_like(cells)
+        hidden = np.empty_like(cells)
         for t in range(t_len):
-            z = inputs[:, t] @ layer.w_x.T + h @ layer.w_h.T + layer.b
+            z = inputs[..., t, :] @ w_x_t + h @ w_h_t + bias
             # one elementwise sigmoid over i|f|g|o, then g gets its tanh
             act = _sigmoid(z)
-            act[:, 2 * h_size:3 * h_size] = np.tanh(z[:, 2 * h_size:3 * h_size])
-            i, f = act[:, :h_size], act[:, h_size:2 * h_size]
-            g, o = act[:, 2 * h_size:3 * h_size], act[:, 3 * h_size:]
+            act[..., 2 * h_size:3 * h_size] = np.tanh(z[..., 2 * h_size:3 * h_size])
+            i, f = act[..., :h_size], act[..., h_size:2 * h_size]
+            g, o = act[..., 2 * h_size:3 * h_size], act[..., 3 * h_size:]
             c = f * c + i * g
             tc = np.tanh(c)
             h = o * tc
-            gates[:, t] = act
-            cells[:, t] = c
-            tanh_c[:, t] = tc
-            hidden[:, t] = h
+            gates[..., t, :] = act
+            cells[..., t, :] = c
+            tanh_c[..., t, :] = tc
+            hidden[..., t, :] = h
         caches.append((inputs, gates, cells, tanh_c, hidden, h0[li], c0[li]))
         h_finals.append(h)
         c_finals.append(c)
         inputs = hidden
-    outputs = inputs @ net.w_out.T + net.b_out
+    outputs = (inputs @ np.swapaxes(net.w_out, -1, -2)[..., np.newaxis, :, :]
+               + net.b_out[..., np.newaxis, np.newaxis, :])
     return outputs, caches, h_finals, c_finals
 
 
 def _backward(net, caches, d_out):
     """Analytic gradients for one chunk given d(loss)/d(outputs)."""
     hidden_last = caches[-1][4]
-    d_w_out = np.einsum("btk,bth->kh", d_out, hidden_last)
-    d_b_out = d_out.sum(axis=(0, 1))
-    d_hidden = d_out @ net.w_out
+    d_w_out = np.einsum("...btk,...bth->...kh", d_out, hidden_last)
+    d_b_out = d_out.sum(axis=(-3, -2))
+    d_hidden = d_out @ net.w_out[..., np.newaxis, :, :]
 
     layer_grads = [None] * len(net.layers)
     for li in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[li]
         inputs, gates, cells, tanh_c, hidden, h0, c0 = caches[li]
-        b, t_len, h_size = hidden.shape
+        t_len = hidden.shape[-2]
+        h_size = layer.hidden_size
 
         d_w_x = np.zeros_like(layer.w_x)
         d_w_h = np.zeros_like(layer.w_h)
         d_b = np.zeros_like(layer.b)
         d_inputs = np.empty_like(inputs)
-        dh_carry = np.zeros((b, h_size))
-        dc_carry = np.zeros((b, h_size))
+        dh_carry = np.zeros_like(h0)
+        dc_carry = np.zeros_like(h0)
         for t in range(t_len - 1, -1, -1):
-            dh = d_hidden[:, t] + dh_carry
-            gt = gates[:, t]
-            i, f = gt[:, :h_size], gt[:, h_size:2 * h_size]
-            g, o = gt[:, 2 * h_size:3 * h_size], gt[:, 3 * h_size:]
-            tc = tanh_c[:, t]
+            dh = d_hidden[..., t, :] + dh_carry
+            gt = gates[..., t, :]
+            i, f = gt[..., :h_size], gt[..., h_size:2 * h_size]
+            g, o = gt[..., 2 * h_size:3 * h_size], gt[..., 3 * h_size:]
+            tc = tanh_c[..., t, :]
             do = dh * tc
             dc = dc_carry + dh * o * (1.0 - tc * tc)
-            c_prev = cells[:, t - 1] if t > 0 else c0
+            c_prev = cells[..., t - 1, :] if t > 0 else c0
             di = dc * g
             dg = dc * i
             df = dc * c_prev
@@ -231,14 +246,14 @@ def _backward(net, caches, d_out):
             dz = np.concatenate(
                 [di * i * (1.0 - i), df * f * (1.0 - f),
                  dg * (1.0 - g * g), do * o * (1.0 - o)],
-                axis=1,
+                axis=-1,
             )
-            x_t = inputs[:, t]
-            h_prev = hidden[:, t - 1] if t > 0 else h0
-            d_w_x += dz.T @ x_t
-            d_w_h += dz.T @ h_prev
-            d_b += dz.sum(axis=0)
-            d_inputs[:, t] = dz @ layer.w_x
+            dz_t = np.swapaxes(dz, -1, -2)
+            h_prev = hidden[..., t - 1, :] if t > 0 else h0
+            d_w_x += dz_t @ inputs[..., t, :]
+            d_w_h += dz_t @ h_prev
+            d_b += dz.sum(axis=-2)
+            d_inputs[..., t, :] = dz @ layer.w_x
             dh_carry = dz @ layer.w_h
         layer_grads[li] = (d_w_x, d_w_h, d_b)
         d_hidden = d_inputs
@@ -251,18 +266,16 @@ def _backward(net, caches, d_out):
 
 
 def _chunk(net, x, targets, mask, h, c):
-    """One chunk step: (sse, mask count, gradients of sse/count, h, c).
+    """One chunk step: (resid, mask count, gradients of sse/count, h, c).
 
-    An all-zero mask gives zero gradients and hands the states back as is.
+    ``resid`` is the masked residual and the count is per model; a model
+    whose chunk mask is all zero gets zero gradients.
     """
-    count = float(mask.sum())
-    if count == 0:
-        return 0.0, 0.0, [np.zeros_like(p) for p in net.parameters()], h, c
+    count = mask.sum(axis=(-3, -2, -1))
     outputs, caches, h, c = _forward(net, x, h, c)
     resid = (outputs - targets) * mask
-    sse = float(np.sum(resid * resid))
-    d_out = 2.0 * resid * mask / count
-    return sse, count, _backward(net, caches, d_out), h, c
+    d_out = 2.0 * resid * mask / np.maximum(count, 1.0)[..., None, None, None]
+    return resid, count, _backward(net, caches, d_out), h, c
 
 
 def loss_and_gradients(net, x, targets, mask, h0=None, c0=None):
@@ -273,11 +286,11 @@ def loss_and_gradients(net, x, targets, mask, h0=None, c0=None):
     :meth:`LstmNetwork.parameters`.  Training runs the same chunk step.
     """
     zeros, _ = _zero_state(net, x.shape[0])
-    sse, count, grads, _, _ = _chunk(
+    resid, count, grads, _, _ = _chunk(
         net, x, targets, mask,
         zeros if h0 is None else h0, zeros if c0 is None else c0,
     )
-    return (sse / count if count else 0.0), grads
+    return (float(np.sum(resid * resid)) / count if count else 0.0), grads
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +315,10 @@ def make_targets(x_pred, prediction_length):
 
 
 def _make_batch(series_list, config):
-    """Pad series to a common length; returns (x, targets, mask)."""
+    """Pad series to a common length; returns (x, targets, mask).
+
+    The mask is boolean; chunks are copied out of it as floats.
+    """
     xs = [config.normalize(s, config.input_channels) for s in series_list]
     ps = [config.normalize(s, config.predicted_channels) for s in series_list]
     t_max = max(x.shape[0] for x in xs)
@@ -311,7 +327,7 @@ def _make_batch(series_list, config):
     k = config.output_dim
     x = np.zeros((b, t_max, d_in))
     targets = np.zeros((b, t_max, k))
-    mask = np.zeros((b, t_max, k))
+    mask = np.zeros((b, t_max, k), dtype=bool)
     for j, (xi, pi) in enumerate(zip(xs, ps)):
         t_len = xi.shape[0]
         x[j, :t_len] = xi
@@ -325,32 +341,54 @@ def _make_batch(series_list, config):
 # optimizer
 
 class _Adam:
+    """Adam over stacked (M, ...) parameters; each model keeps its own t."""
+
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr):
-        self.lr = lr
+    def __init__(self, params, lrs):
+        self.lr = np.array(lrs, dtype=float)
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        self.t = 0
+        self.t = [0] * len(lrs)
 
-    def step(self, params, grads):
-        self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+    def step(self, params, grads, ids):
+        """Update the models ``ids`` (ascending) from their stacked gradients."""
+        for k in ids:
+            self.t[k] += 1
+        # the bias corrections in Python floats, as for one model
+        b1c = np.array([1.0 - self.beta1 ** self.t[k] for k in ids])
+        b2c = np.array([1.0 - self.beta2 ** self.t[k] for k in ids])
+        lr = self.lr[ids]
+        sel = _selector(ids, len(self.t))
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            col = (-1,) + (1,) * (g.ndim - 1)
+            m_k, v_k = m[sel], v[sel]
+            m_k *= self.beta1
+            m_k += (1.0 - self.beta1) * g
+            v_k *= self.beta2
+            v_k += (1.0 - self.beta2) * (g * g)
+            m[sel], v[sel] = m_k, v_k
+            p[sel] -= (lr.reshape(col) * (m_k / b1c.reshape(col))
+                       / (np.sqrt(v_k / b2c.reshape(col)) + self.eps))
+
+
+def _selector(ids, n):
+    """Index of models ``ids`` (ascending) in an n-stack: a view when all."""
+    return slice(None) if len(ids) == n else np.asarray(ids)
 
 
 def clip_gradients(grads, max_norm):
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-    if max_norm and total > max_norm:
-        scale = max_norm / total
-        grads = [g * scale for g in grads]
-    return grads, total
+    """Scale each model's stacked gradients down to global norm ``max_norm``.
+
+    ``max_norm`` is an (M,) array; a model whose entry is 0 is not clipped.
+    """
+    totals = np.sqrt(sum((g * g).reshape(len(g), -1).sum(axis=1) for g in grads))
+    clip = (max_norm > 0) & (totals > max_norm)
+    if not clip.any():
+        return grads
+    scale = np.ones_like(totals)
+    scale[clip] = max_norm[clip] / totals[clip]
+    return [g * scale.reshape((-1,) + (1,) * (g.ndim - 1)) for g in grads]
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +412,206 @@ def compute_norm_stats(series_list, channels):
     return mean, std
 
 
-def _epoch_loss(net, config, x, targets, mask):
-    """Forward-only masked MSE over full sequences.
+def _job_problem(series_list, config, first):
+    """Why a job cannot be trained (stacked with ``first``), or None."""
+    if not series_list:
+        return "no training series"
+    for s in series_list:
+        if len(s) <= config.prediction_length + 1:
+            return "every training series must be longer than horizon+1"
+        if s.labels is not None and s.labels.any():
+            return "training series must be all-normal"
+    shape = (config.layer_sizes, config.tbptt_length,
+             len(config.input_channels), config.output_dim)
+    if shape != (first.layer_sizes, first.tbptt_length,
+                 len(first.input_channels), first.output_dim):
+        return ("stacked jobs must share layer_sizes, tbptt_length and the "
+                "input and output widths")
+    return None
 
-    Residuals are summed per tbptt chunk, which keeps the bits of a
-    chunked pass with carried state.
+
+class _Model:
+    """One job of a stacked training call: its data, shuffles and early stop."""
+
+    def __init__(self, index, series_list, config, val_series):
+        self.index = index
+        self.config = config
+        stat_channels = set(config.input_channels) | set(config.predicted_channels)
+        config.norm_mean, config.norm_std = compute_norm_stats(
+            series_list, sorted(stat_channels)
+        )
+        self.rng = np.random.default_rng(
+            np.random.SeedSequence([int(config.seed), 11]))
+        if val_series is None and len(series_list) >= 3 and config.val_fraction > 0:
+            order = self.rng.permutation(len(series_list))
+            n_val = max(1, int(round(config.val_fraction * len(series_list))))
+            val_idx = set(order[len(series_list) - n_val:].tolist())
+            val_series = [series_list[i] for i in sorted(val_idx)]
+            series_list = [
+                series_list[i] for i in range(len(series_list)) if i not in val_idx
+            ]
+        self.data = _make_batch(series_list, config)
+        self.points = float(self.data[2].sum())
+        self.val = _make_batch(val_series, config) if val_series else None
+        self.best = init_network(config, np.random.default_rng(
+            np.random.SeedSequence([int(config.seed), 13]))).parameters()
+        self.best_val = math.inf
+        self.since_best = 0
+        self.sse = 0.0
+        self.log = TrainingLog()
+
+
+def _row_groups(members, rows):
+    """Split stack members into the multi-row and the one-row sub-stack."""
+    for one_row in (False, True):
+        group = [item for item in members if (rows(item) == 1) == one_row]
+        if group:
+            yield group
+
+
+def _pad_chunk(members, t0, t1):
+    """Steps t0..t1 of each member's rows, zero-padded into a stack.
+
+    ``members`` are pairs of an (x, targets, mask) triple and a row index
+    array.  Returns the three (G, B, T, .) arrays and each member's
+    unpadded (rows, steps).
     """
-    out, _, _, _ = _forward(net, x, *_zero_state(net, x.shape[0]))
-    sse = 0.0
-    for t0 in range(0, x.shape[1], config.tbptt_length):
-        t1 = t0 + config.tbptt_length
-        resid = (out[:, t0:t1] - targets[:, t0:t1]) * mask[:, t0:t1]
-        sse += float(np.sum(resid * resid))
-    count = float(mask.sum())
-    return sse / count if count else 0.0
+    sizes = [(rows.size, max(0, min(t1, data[0].shape[1]) - t0))
+             for data, rows in members]
+    shape = (len(members), max(b for b, _ in sizes), max(s for _, s in sizes))
+    stacked = []
+    for k in range(3):
+        out = np.zeros(shape + (members[0][0][k].shape[2],))
+        for j, ((data, rows), (_, steps)) in enumerate(zip(members, sizes)):
+            out[j, :rows.size, :steps] = data[k][rows, t0:t0 + steps]
+        stacked.append(out)
+    return stacked, sizes
+
+
+def _sse(resid, j, size):
+    """Model j's squared error over its unpadded (rows, steps) of a chunk.
+
+    Summed over that slice alone, so the bits match one model's chunk.
+    """
+    r = resid[j, :size[0], :size[1]]
+    return float(np.sum(r * r))
+
+
+def _train_step(params, adam, clip, group, tbptt):
+    """One batch per model of ``group`` (pairs of model and rows), by chunks."""
+    ids = [model.index for model, _ in group]
+    sel = _selector(ids, len(adam.t))
+    members = [(model.data, rows) for model, rows in group]
+    h, c = _zero_state(_network(params), len(group), max(r.size for _, r in group))
+    for t0 in range(0, max(model.data[0].shape[1] for model, _ in group), tbptt):
+        (x, targets, mask), sizes = _pad_chunk(members, t0, t0 + tbptt)
+        net = _network([p[sel] for p in params])
+        resid, count, grads, h, c = _chunk(net, x, targets, mask, h, c)
+        live = count > 0
+        if not live.any():
+            break  # every later chunk is past the data too
+        for j, (model, _) in enumerate(group):
+            if live[j]:
+                model.sse += _sse(resid, j, sizes[j])
+        grads = clip_gradients(grads, clip[sel])
+        if not live.all():
+            grads = [g[live] for g in grads]
+        adam.step(params, grads, [k for k, on in zip(ids, live) if on])
+
+
+def _val_losses(params, group, tbptt):
+    """Masked validation MSE of each model in ``group``, chunk by chunk.
+
+    Outputs only are kept; squared residuals are summed per tbptt chunk,
+    as a model's own chunked pass would sum them.
+    """
+    sel = _selector([model.index for model in group], len(params[0]))
+    net = _network([p[sel] for p in params])
+    members = [(model.val, np.arange(model.val[0].shape[0])) for model in group]
+    h, c = _zero_state(net, len(group), max(r.size for _, r in members))
+    sse = [0.0] * len(group)
+    for t0 in range(0, max(model.val[0].shape[1] for model in group), tbptt):
+        (x, targets, mask), sizes = _pad_chunk(members, t0, t0 + tbptt)
+        out, _, h, c = _forward(net, x, h, c)
+        resid = (out - targets) * mask
+        for j, size in enumerate(sizes):
+            sse[j] += _sse(resid, j, size)
+    losses = []
+    for s, model in zip(sse, group):
+        count = float(model.val[2].sum())
+        losses.append(s / count if count else 0.0)
+    return losses
+
+
+def train_many(jobs):
+    """Train one predictor per job in one stacked pass.
+
+    ``jobs`` is a sequence of ``(series_list, config, val_series)``; returns
+    ``[(network, training log), ...]`` in job order.  Each job gets the
+    network and log that :func:`train` gives it alone, bit for bit: a model
+    keeps its own shuffles, normalization, optimizer state, clip norm,
+    best-epoch weights and early stop, and a stopped model takes no more
+    steps.  Jobs must share ``layer_sizes``, ``tbptt_length`` and the input
+    and output widths.  Every job is checked before training starts; a bad
+    job raises :class:`InvalidJobError`, a diverging one
+    :class:`TrainingDivergedError`, and both carry the job's index as
+    ``job``.
+    """
+    jobs = [(list(getattr(s, "series", s)), config, val)
+            for s, config, val in jobs]
+    if not jobs:
+        raise ValueError("no training jobs")
+    for index, (series_list, config, _) in enumerate(jobs):
+        problem = _job_problem(series_list, config, jobs[0][1])
+        if problem:
+            raise InvalidJobError(index, problem)
+    models = [_Model(index, *job) for index, job in enumerate(jobs)]
+
+    params = [np.stack(arrays) for arrays in zip(*(m.best for m in models))]
+    adam = _Adam(params, [m.config.learning_rate for m in models])
+    clip = np.array([m.config.clip_norm for m in models], dtype=float)
+    tbptt = models[0].config.tbptt_length
+    running = models
+    epoch = 0
+    while running:
+        plans = []
+        for model in running:
+            model.sse = 0.0
+            order = model.rng.permutation(model.data[0].shape[0])
+            size = model.config.series_batch_size
+            plans.append([(model, order[b0:b0 + size])
+                          for b0 in range(0, order.size, size)])
+        for step in itertools.zip_longest(*plans):
+            members = [member for member in step if member is not None]
+            for group in _row_groups(members, lambda member: member[1].size):
+                _train_step(params, adam, clip, group, tbptt)
+
+        train_losses = [model.sse / model.points for model in running]
+        for model, loss in zip(running, train_losses):
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(epoch, job=model.index)
+        val_losses = dict(zip(running, train_losses))
+        with_val = [model for model in running if model.val is not None]
+        for group in _row_groups(with_val, lambda model: model.val[0].shape[0]):
+            val_losses.update(zip(group, _val_losses(params, group, tbptt)))
+
+        for model, train_loss in zip(running, train_losses):
+            val_loss = val_losses[model]
+            model.log.train_losses.append(train_loss)
+            model.log.val_losses.append(val_loss)
+            if val_loss < model.best_val:
+                model.best_val = val_loss
+                model.best = [p[model.index].copy() for p in params]
+                model.log.best_epoch = epoch
+                model.since_best = 0
+            else:
+                model.since_best += 1
+                if model.since_best >= model.config.patience:
+                    model.log.stopped_early = True
+        epoch += 1
+        running = [model for model in running
+                   if not model.log.stopped_early and epoch < model.config.epochs]
+    return [(_network(model.best), model.log) for model in models]
 
 
 def train(series_list, config, val_series=None):
@@ -397,88 +621,12 @@ def train(series_list, config, val_series=None):
     are computed from the training series and stored on the config (in
     place).  Early stopping monitors the masked MSE on ``val_series`` when
     given, otherwise on a held-out fraction of the training series (seeded
-    shuffle); the weights from the best epoch are returned.
+    shuffle); the weights from the best epoch are returned.  This is
+    :func:`train_many` with one job.
 
     Raises :class:`TrainingDivergedError` if the loss becomes non-finite.
     """
-    series_list = list(getattr(series_list, "series", series_list))
-    if not series_list:
-        raise ValueError("no training series")
-    horizon = config.prediction_length
-    for s in series_list:
-        if len(s) <= horizon + 1:
-            raise ValueError("every training series must be longer than horizon+1")
-        if s.labels is not None and s.labels.any():
-            raise ValueError("training series must be all-normal")
-
-    stat_channels = set(config.input_channels) | set(config.predicted_channels)
-    config.norm_mean, config.norm_std = compute_norm_stats(
-        series_list, sorted(stat_channels)
-    )
-
-    rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 11]))
-    if val_series is None and len(series_list) >= 3 and config.val_fraction > 0:
-        order = rng.permutation(len(series_list))
-        n_val = max(1, int(round(config.val_fraction * len(series_list))))
-        val_idx = set(order[len(series_list) - n_val:].tolist())
-        val_series = [series_list[i] for i in sorted(val_idx)]
-        series_list = [
-            series_list[i] for i in range(len(series_list)) if i not in val_idx
-        ]
-
-    x, targets, mask = _make_batch(series_list, config)
-    if val_series:
-        vx, vt, vm = _make_batch(val_series, config)
-    else:
-        vx = None
-
-    net = init_network(config, np.random.default_rng(
-        np.random.SeedSequence([int(config.seed), 13])))
-    params = net.parameters()
-    adam = _Adam(params, config.learning_rate)
-    log = TrainingLog()
-    best_val = math.inf
-    best_net = net.copy()
-    since_best = 0
-    n_series, t_max, _ = x.shape
-    batch = config.series_batch_size
-
-    for epoch in range(config.epochs):
-        sse = 0.0
-        order = rng.permutation(n_series)
-        for b0 in range(0, n_series, batch):
-            rows = order[b0:b0 + batch]
-            bx, bt, bm = x[rows], targets[rows], mask[rows]
-            h, c = _zero_state(net, len(rows))
-            for t0 in range(0, t_max, config.tbptt_length):
-                t1 = t0 + config.tbptt_length
-                chunk_sse, count, grads, h, c = _chunk(
-                    net, bx[:, t0:t1], bt[:, t0:t1], bm[:, t0:t1], h, c
-                )
-                if count == 0:
-                    continue
-                sse += chunk_sse
-                grads, _ = clip_gradients(grads, config.clip_norm)
-                adam.step(params, grads)
-        train_loss = sse / float(mask.sum())
-        if not math.isfinite(train_loss):
-            raise TrainingDivergedError(epoch)
-        val_loss = (
-            _epoch_loss(net, config, vx, vt, vm) if vx is not None else train_loss
-        )
-        log.train_losses.append(train_loss)
-        log.val_losses.append(val_loss)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_net = net.copy()
-            log.best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                log.stopped_early = True
-                break
-    return best_net, log
+    return train_many([(series_list, config, val_series)])[0]
 
 
 def predict(net, config, series):

@@ -336,6 +336,28 @@ class FitConfig:
     #: single window spanning the whole pair.
     window_bounds: list = None
 
+    def __post_init__(self):
+        if not (self.drop_fractions
+                and all(0 <= q <= 0.5 for q in self.drop_fractions)):
+            raise ValueError("drop_fractions must be non-empty, each in [0, 0.5]")
+        if not (isinstance(self.smooth_window, numbers.Integral)
+                and self.smooth_window >= 1 and self.smooth_window % 2 == 1):
+            raise ValueError("smooth_window must be an odd integer >= 1")
+        if not (isinstance(self.min_points, numbers.Integral)
+                and self.min_points >= LINEAR1.param_count):
+            raise ValueError(
+                f"min_points must be an integer >= {LINEAR1.param_count}")
+        previous_end = 0
+        for bound in self.window_bounds or ():
+            start, end = bound
+            if not (isinstance(start, numbers.Integral)
+                    and isinstance(end, numbers.Integral)
+                    and start == previous_end and end > start):
+                raise ValueError(
+                    "window_bounds must be contiguous, ordered integer "
+                    "(start, end) pairs starting at 0")
+            previous_end = end
+
 
 class FitCandidate(NamedTuple):
     params: tuple

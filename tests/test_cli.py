@@ -280,6 +280,23 @@ class TestPipelineHandoff:
         assert "epochs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fit_doc, message", [
+        ({"drop_fractions": []}, "drop_fractions"),
+        ({"window_bounds": [[0, 50], [80, 200]]}, "window_bounds"),
+    ])
+    def test_fit_ode_with_invalid_fit_config_exits_1(self, data_dir, tmp_path,
+                                                     capsys, fit_doc, message):
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps(fit_doc))
+        out = tmp_path / "model.json"
+        assert run(
+            "fit-ode", "--data", os.path.join(data_dir, "small", "series_000.csv"),
+            "--control", "control", "--dependent", "response",
+            "--config", str(config), "--out", str(out),
+        ) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_augment_with_wrong_arity_model_exits_1(self, artifacts, tmp_path,
                                                     capsys):
         doc = json.load(open(artifacts["models"][0]))

@@ -115,6 +115,14 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"regime S\(r\)"):
             run_experiment(bench, ["S(r)"])
 
+    def test_stacked_training_failure_names_regime(self):
+        bench = gen_benchmark(tiny_config(seed=2))
+        labels = np.zeros(len(bench.large[0]), dtype=bool)
+        labels[10] = True
+        bench.large[0] = bench.large[0].with_labels(labels)
+        with pytest.raises(RuntimeError, match=r"regime L\(r\): .*all-normal"):
+            run_experiment(bench)
+
 
 class TestBuildGenerated:
     def test_count_and_shape(self):
@@ -148,6 +156,14 @@ class TestAugmentationCurve:
         fractions = [0.0, 0.25, 0.75, 1.0]
         curve = augmentation_curve(bench, fractions)
         assert [q for q, _ in curve] == fractions
+
+    def test_stacked_training_failure_names_fraction(self):
+        bench = gen_benchmark(tiny_config(seed=4))
+        labels = np.zeros(len(bench.small[1]), dtype=bool)
+        labels[10] = True
+        bench.small[1] = bench.small[1].with_labels(labels)
+        with pytest.raises(RuntimeError, match="regime fraction 0: .*all-normal"):
+            augmentation_curve(bench, [0.0, 1.0])
 
     def test_fraction_validation(self):
         bench = gen_benchmark(tiny_config())

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from odeaug.errors import TrainingDivergedError
+from odeaug.errors import InvalidJobError, TrainingDivergedError
 from odeaug.lstm import (PredictorConfig, init_network,
                          loss_and_gradients, make_targets, network_from_dict,
-                         network_to_dict, predict, train)
+                         network_to_dict, predict, train, train_many)
 from odeaug.lstm import _forward, _zero_state
 from odeaug.series import TimeSeries
 
@@ -281,6 +281,93 @@ class TestTrain:
         z = config.normalize(series, ("a", "b"))
         back = z * np.array([2.0, 0.25]) + np.array([1.5, -0.5])
         assert np.allclose(back, series.values, atol=1e-12)
+
+
+def _wave(n, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * 0.1
+    a = np.sin(t * (0.5 + rng.random())) + 0.1 * rng.normal(size=n)
+    b = np.cumsum(rng.normal(size=n)) * 0.05 + a
+    return TimeSeries(["a", "b"], 0.1, np.column_stack([a, b]))
+
+
+def _waves(count, n=80, first=0):
+    return [_wave(n, first + i) for i in range(count)]
+
+
+def _stack_jobs(layer_sizes):
+    """Jobs that exercise every way stacked models can differ."""
+    base = dict(input_channels=("a", "b"), predicted_channels=("b",),
+                layer_sizes=layer_sizes, prediction_length=3, tbptt_length=32,
+                epochs=5, patience=100)
+    mixed = [_wave(25 + 13 * i, 40 + i) for i in range(7)]
+    return [
+        # two full batches
+        (_waves(16), dict(base, seed=1), _waves(3, first=90)),
+        # a full batch, then a one-row batch and a one-row validation set
+        (_waves(9), dict(base, seed=2), _waves(1, first=90)),
+        # three batches of two rows, the last one row
+        (_waves(5), dict(base, seed=3, series_batch_size=2), _waves(2, first=90)),
+        # mixed series lengths, within the job and against the others
+        (mixed, dict(base, seed=4, series_batch_size=3),
+         [_wave(40, 91), _wave(100, 92)]),
+        # stops early while the others run on
+        (_waves(10), dict(base, seed=5, epochs=40, patience=1,
+                          learning_rate=0.3), _waves(2, first=90)),
+        # internal validation split
+        (_waves(13), dict(base, seed=6), None),
+    ]
+
+
+class TestTrainMany:
+    @pytest.mark.parametrize("layer_sizes", [(6,), (5, 3)])
+    def test_stack_matches_one_job_runs_bit_for_bit(self, layer_sizes):
+        jobs = _stack_jobs(layer_sizes)
+        stacked = train_many(
+            [(s, PredictorConfig(**kw), val) for s, kw, val in jobs])
+        logs = [log for _, log in stacked]
+        assert logs[4].stopped_early
+        assert len(logs[4].train_losses) < len(logs[0].train_losses)
+        for (series, kw, val), (net, log) in zip(jobs, stacked):
+            solo_net, solo_log = train(series, PredictorConfig(**kw), val_series=val)
+            for a, b in zip(net.parameters(), solo_net.parameters()):
+                assert np.array_equal(a, b)
+            assert log == solo_log
+
+    @pytest.mark.parametrize("override", [
+        {"layer_sizes": (4,)}, {"tbptt_length": 8}, {"prediction_length": 1},
+    ])
+    def test_jobs_that_cannot_stack_rejected(self, override):
+        jobs = _stack_jobs((6,))[:2]
+        configs = [PredictorConfig(**jobs[0][1]),
+                   PredictorConfig(**dict(jobs[1][1], **override))]
+        with pytest.raises(ValueError, match="share") as info:
+            train_many([(s, config, val)
+                        for (s, _, val), config in zip(jobs, configs)])
+        assert info.value.job == 1
+
+    def test_bad_job_named_before_any_training(self):
+        jobs = _stack_jobs((6,))[:3]
+        labels = np.zeros(80, dtype=bool)
+        labels[7] = True
+        jobs[2][0][0] = jobs[2][0][0].with_labels(labels)
+        configs = [PredictorConfig(**kw) for _, kw, _ in jobs]
+        with pytest.raises(InvalidJobError, match="normal") as info:
+            train_many([(s, config, val)
+                        for (s, _, val), config in zip(jobs, configs)])
+        assert info.value.job == 2
+        assert configs[0].norm_mean is None
+
+    def test_diverging_job_named(self):
+        jobs = _stack_jobs((6,))[:2]
+        configs = [PredictorConfig(**jobs[0][1]),
+                   PredictorConfig(**dict(jobs[1][1], learning_rate=1e200,
+                                          clip_norm=0.0))]
+        with np.errstate(all="ignore"), \
+                pytest.raises(TrainingDivergedError) as info:
+            train_many([(s, config, val)
+                        for (s, _, val), config in zip(jobs, configs)])
+        assert info.value.job == 1
 
 
 class TestSerialization:

@@ -274,6 +274,17 @@ class TestFit:
     (PsoConfig, "swarm_size", 0), (PsoConfig, "swarm_size", 3.0),
     (PsoConfig, "iterations", -5), (PsoConfig, "inertia", math.nan),
     (PsoConfig, "cognitive", math.inf), (PsoConfig, "social", -math.inf),
+    (FitConfig, "drop_fractions", ()), (FitConfig, "drop_fractions", (0.1, 0.6)),
+    (FitConfig, "drop_fractions", (-0.05,)),
+    (FitConfig, "drop_fractions", (math.nan,)),
+    (FitConfig, "smooth_window", 0), (FitConfig, "smooth_window", 2.5),
+    (FitConfig, "smooth_window", 4),
+    (FitConfig, "min_points", 2),
+    (FitConfig, "window_bounds", [(0, 50), (80, 200)]),
+    (FitConfig, "window_bounds", [(10, 50), (50, 200)]),
+    (FitConfig, "window_bounds", [(0, 50), (50, 50)]),
+    (FitConfig, "window_bounds", [(50, 100), (0, 50)]),
+    (FitConfig, "window_bounds", [(0, 50.5), (50.5, 200)]),
 ])
 def test_fit_config_rejects_bad_value(config, name, value):
     with pytest.raises(ValueError, match=name):
