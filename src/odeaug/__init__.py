@@ -17,13 +17,13 @@ from .control import (AUTO, ControlProfile, PairFeatures, State,
 from .experiment import (REGIMES, augmentation_curve, build_generated,
                          run_experiment)
 from .lstm import (LstmNetwork, PredictorConfig, init_network, predict,
-                   train)
+                   predict_many, train)
 from .metrics import MetricsReport, RegimeRow, prf_metrics
 from .ode import (LINEAR1, FitConfig, FitReport, OdeParams, OdeStructure,
                   PsoConfig, SeriesPair, SgdConfig, evaluate_rhs, fit,
                   fit_gradient_sgd, integrate, refine_pso)
 from .scoring import (GaussianScorer, detect, error_vectors, fit_gaussian,
-                      log_likelihood, select_threshold)
+                      log_likelihood, score_many, select_threshold)
 from .series import (Dataset, TimeSeries, curvature_score,
                      numerical_derivative, read_csv, smooth, write_csv)
 

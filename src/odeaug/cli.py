@@ -26,12 +26,15 @@ from .errors import CsvFormatError, DegenerateLabelsError, DivergenceError, \
     TrainingDivergedError, UnidentifiableError
 from .experiment import (REGIMES, augmentation_curve, curve_to_csv_text,
                          run_experiment)
-from .lstm import (PredictorConfig, network_from_dict, network_to_dict,
-                   predict, train)
+# ``predict`` and ``score_series`` are not called here; perfbench/tracing.py
+# wraps them by this module's name.
+from .lstm import (PredictorConfig, network_from_dict,  # noqa: F401
+                   network_to_dict, predict, predict_many, train)
 from .metrics import MetricsReport, RegimeRow, prf_metrics
 from .ode import LINEAR1, SeriesPair, fit, get_structure
-from .scoring import (error_vectors, fit_gaussian, score_series,
-                      scorer_from_dict, scorer_to_dict, select_threshold)
+from .scoring import (error_vectors, fit_gaussian, score_many,  # noqa: F401
+                      score_series, scorer_from_dict, scorer_to_dict,
+                      select_threshold)
 from .series import read_csv, read_csv_dir, write_csv
 
 _RUNTIME_ERRORS = (
@@ -318,19 +321,17 @@ def cmd_train(args):
 
 def cmd_threshold(args):
     net, config = network_from_dict(_read_json(args.net))
-    pooled = []
-    for series in _load_series_any(args.normal):
-        preds = predict(net, config, series)
-        pooled.append(error_vectors(preds, series, config))
+    normal = _load_series_any(args.normal)
+    pooled = [error_vectors(preds, series, config) for series, preds
+              in zip(normal, predict_many(net, config, normal))]
     scorer = fit_gaussian(np.concatenate(pooled), ridge=args.ridge)
-    scores, labels = [], []
-    for series in _load_series_any(args.labeled):
-        if series.labels is None:
-            raise ValueError("threshold selection needs labeled series")
-        scores.append(score_series(net, config, scorer, series))
-        labels.append(series.labels)
+    labeled = _load_series_any(args.labeled)
+    if any(series.labels is None for series in labeled):
+        raise ValueError("threshold selection needs labeled series")
+    scores = score_many(net, config, scorer, labeled)
     tau, achieved = select_threshold(
-        np.concatenate(scores), np.concatenate(labels), beta=args.beta
+        np.concatenate(scores),
+        np.concatenate([series.labels for series in labeled]), beta=args.beta
     )
     scorer.threshold = tau
     _ensure_out_file(args.out, args.force)
@@ -348,16 +349,17 @@ def cmd_detect(args):
     scorer = scorer_from_dict(_read_json(args.scorer))
     if scorer.threshold is None:
         raise ValueError("scorer has no threshold; run the threshold command")
-    _ensure_out_dir(args.out, args.force)
     if os.path.isdir(args.data):
         names = sorted(f for f in os.listdir(args.data) if f.endswith(".csv"))
         paths = [os.path.join(args.data, f) for f in names]
     else:
         names = [os.path.basename(args.data)]
         paths = [args.data]
-    for name, path in zip(names, paths):
-        series = read_csv(path)
-        scores = score_series(net, config, scorer, series)
+    series_list = [read_csv(path) for path in paths]
+    # every input is read and scored before the old output is removed
+    all_scores = score_many(net, config, scorer, series_list)
+    _ensure_out_dir(args.out, args.force)
+    for name, series, scores in zip(names, series_list, all_scores):
         flags = scores < scorer.threshold
         out_path = os.path.join(args.out, name.replace(".csv", ".detections.csv"))
         with open(out_path, "w") as fh:
@@ -374,16 +376,13 @@ def cmd_evaluate(args):
     scorer = scorer_from_dict(_read_json(args.scorer))
     if scorer.threshold is None:
         raise ValueError("scorer has no threshold; run the threshold command")
-    predicted, actual, n_points = [], [], 0
     series_list = _load_series_any(args.data)
-    for series in series_list:
-        if series.labels is None:
-            raise ValueError("evaluation needs labeled series")
-        scores = score_series(net, config, scorer, series)
-        predicted.append(scores < scorer.threshold)
-        actual.append(series.labels)
-        n_points += len(series)
-    p, r, f = prf_metrics(np.concatenate(predicted), np.concatenate(actual))
+    if any(series.labels is None for series in series_list):
+        raise ValueError("evaluation needs labeled series")
+    scores = score_many(net, config, scorer, series_list)
+    p, r, f = prf_metrics(np.concatenate(scores) < scorer.threshold,
+                          np.concatenate([s.labels for s in series_list]))
+    n_points = sum(len(series) for series in series_list)
     report = MetricsReport(
         rows=[RegimeRow("eval", len(series_list), n_points, p, r, f)],
         config={"data": args.data}, seed=0,

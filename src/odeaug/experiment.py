@@ -16,13 +16,14 @@ from .augment import AugmentationPlan, FittedPair, generate_series_pair
 from .benchmark import CONTROL_CHANNEL, RESPONSE_CHANNEL
 from .control import AUTO, build_profile, pair_features, segment_control
 from .errors import InvalidJobError, TrainingDivergedError
-# ``train`` is not called here; perfbench/tracing.py wraps it by this
-# module's name.
-from .lstm import PredictorConfig, predict, train, train_many  # noqa: F401
+# ``train``, ``predict`` and ``score_series`` are not called here;
+# perfbench/tracing.py wraps them by this module's name.
+from .lstm import (PredictorConfig, predict, predict_many,  # noqa: F401
+                   train, train_many)
 from .metrics import MetricsReport, RegimeRow, prf_metrics
 from .ode import LINEAR1, SeriesPair, fit
-from .scoring import (detect, error_vectors, fit_gaussian, score_series,
-                      select_threshold)
+from .scoring import (error_vectors, fit_gaussian, score_many,  # noqa: F401
+                      score_series, select_threshold)
 
 REGIMES = ("L(r)", "S(r)", "ODE(s)", "S(r)+ODE(s)", "L(r)+ODE(s)")
 
@@ -128,29 +129,24 @@ def evaluate_network(net, config, benchmark):
 
     Returns (precision, recall, f_score) on the pooled point-wise test
     masks.  Pure function of (network, benchmark): the validation sets and
-    the test set are fixed by the benchmark.
+    the test set are fixed by the benchmark.  Each set is predicted or
+    scored in one call.
     """
-    pooled = []
-    for series in benchmark.val_normal:
-        preds = predict(net, config, series)
-        pooled.append(error_vectors(preds, series, config))
+    normal = benchmark.val_normal
+    pooled = [error_vectors(preds, series, config) for series, preds
+              in zip(normal, predict_many(net, config, normal))]
     scorer = fit_gaussian(np.concatenate(pooled), ridge=benchmark.config.ridge)
 
-    scores, labels = [], []
-    for series in benchmark.val_anomalous:
-        scores.append(score_series(net, config, scorer, series))
-        labels.append(series.labels)
+    labeled = benchmark.val_anomalous
     tau, _ = select_threshold(
-        np.concatenate(scores), np.concatenate(labels),
+        np.concatenate(score_many(net, config, scorer, labeled)),
+        np.concatenate([series.labels for series in labeled]),
         beta=benchmark.config.threshold_beta,
     )
-    scorer.threshold = tau
-
-    predicted, actual = [], []
-    for series in benchmark.test:
-        predicted.append(detect(net, config, scorer, series))
-        actual.append(series.labels)
-    return prf_metrics(np.concatenate(predicted), np.concatenate(actual))
+    test = benchmark.test
+    scores = score_many(net, config, scorer, test)
+    return prf_metrics(np.concatenate(scores) < tau,
+                       np.concatenate([series.labels for series in test]))
 
 
 def _evaluate(label, net, config, benchmark):

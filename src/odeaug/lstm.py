@@ -629,21 +629,65 @@ def train(series_list, config, val_series=None):
     return train_many([(series_list, config, val_series)])[0]
 
 
-def predict(net, config, series):
-    """Multi-step predictions for every point of a series.
+def _time_chunks(t_len, length):
+    """(t0, t1) bounds of ``length``-step chunks over ``t_len`` >= 2 steps.
 
-    Returns a (len(series), output_dim) array in normalized units; row t
-    holds the predictions made at t for the next ``prediction_length``
-    steps of each predicted channel, channel-major.
+    No chunk is one step long: a last step left over joins the chunk
+    before it, and ``length`` 1 is taken as 2.  A one-step chunk would run
+    the output layer as (1, H) @ (H, K) through gemv, which differs in the
+    last bits from the same row of a longer chunk's gemm.
     """
-    missing = [c for c in config.input_channels if c not in series.channel_names]
-    if missing:
-        raise ValueError(f"series lacks input channels {missing}")
-    if len(series) < 2:
-        raise ValueError("series too short to predict from")
-    x = config.normalize(series, config.input_channels)[np.newaxis]
-    out, _, _, _ = _forward(net, x, *_zero_state(net, 1))
-    return out[0]
+    length = max(length, 2)
+    bounds = list(range(0, t_len, length))
+    if t_len - bounds[-1] == 1:
+        bounds.pop()
+    return zip(bounds, bounds[1:] + [t_len])
+
+
+def predict_many(net, config, series_list):
+    """Multi-step predictions for every point of each series.
+
+    Returns one (len(series), output_dim) array per series, in normalized
+    units; row t holds the predictions made at t for the next
+    ``prediction_length`` steps of each predicted channel, channel-major.
+    Every series is checked before any forward pass.
+
+    Groups of ``series_batch_size`` series run as a (G, 1, T, D) stack,
+    zero-padded at the end of time, in ``tbptt_length`` chunks that carry
+    the state.  Each series keeps its one-row batch, so every row equals
+    that series' own batch-1 pass bit for bit.
+    """
+    series_list = list(series_list)
+    for series in series_list:
+        missing = [c for c in config.input_channels
+                   if c not in series.channel_names]
+        if missing:
+            raise ValueError(f"series lacks input channels {missing}")
+        if len(series) < 2:
+            raise ValueError("series too short to predict from")
+    xs = [config.normalize(s, config.input_channels) for s in series_list]
+    preds = []
+    for g0 in range(0, len(xs), config.series_batch_size):
+        group = xs[g0:g0 + config.series_batch_size]
+        t_max = max(xj.shape[0] for xj in group)
+        x = np.zeros((len(group), 1, t_max, group[0].shape[1]))
+        for j, xj in enumerate(group):
+            x[j, 0, :xj.shape[0]] = xj
+        out = np.empty((len(group), 1, t_max, config.output_dim))
+        h, c = _zero_state(net, len(group), 1)
+        for t0, t1 in _time_chunks(t_max, config.tbptt_length):
+            chunk, caches, h, c = _forward(net, x[..., t0:t1, :], h, c)
+            del caches  # freed before the next chunk allocates its own
+            out[..., t0:t1, :] = chunk
+        preds.extend(out[j, 0, :xj.shape[0]] for j, xj in enumerate(group))
+    return preds
+
+
+def predict(net, config, series):
+    """Multi-step predictions for every point of one series: a
+    (len(series), output_dim) array, as one series of :func:`predict_many`.
+    """
+    return predict_many(net, config, [series])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabelsError
-from .lstm import predict
+# ``predict`` is not called here; perfbench/tracing.py wraps it by this
+# module's name.
+from .lstm import predict, predict_many  # noqa: F401
 
 
 def error_vectors(predictions, series, config):
     """Error vectors for every point with all ``l`` past predictions.
 
-    ``predictions`` must come from :func:`odeaug.lstm.predict` on the same
-    series.  Residuals are computed in normalized units (actual values are
-    z-scored with the config's stats before subtraction).  Returns a
-    ``(T - l, l * d)`` array: row ``t - l`` holds the residuals of point
-    ``t`` against the predictions made 1..l steps earlier, channel-major.
+    ``predictions`` must come from :func:`odeaug.lstm.predict_many` on
+    the same series.  Residuals are computed in normalized units (actual
+    values are z-scored with the config's stats before subtraction).
+    Returns a ``(T - l, l * d)`` array: row ``t - l`` holds the residuals
+    of point ``t`` against the predictions made 1..l steps earlier,
+    channel-major.
     """
     horizon = config.prediction_length
     actual = config.normalize(series, config.predicted_channels)
@@ -137,7 +140,7 @@ def select_threshold(scores, labels, beta=1.0):
     Candidates are the midpoints between consecutive sorted unique scores
     plus -inf/+inf sentinels.  Ties prefer higher recall, then the lower
     threshold.  Returns (threshold, achieved F).  Scores may be +inf (the
-    warm-up points of :func:`score_series`) but not NaN.
+    warm-up points of :func:`score_many`) but not NaN.
 
     Raises :class:`DegenerateLabelsError` when labels are single-class.
     """
@@ -177,21 +180,31 @@ def select_threshold(scores, labels, beta=1.0):
     return best[1], best[2]
 
 
-def score_series(net, config, scorer, series):
-    """Scores for every point of a series; the first l points get +inf.
+def score_many(net, config, scorer, series_list):
+    """Scores for every point of each series; the first l points get +inf.
 
+    Returns one array per series, from one :func:`predict_many` call.
     +inf marks "no error vector yet"; those points can never fall below a
     finite threshold, matching the normal-by-convention warm-up rule.  A
     residual so large that the density overflows to NaN scores -inf, so
     the point is flagged rather than passed as normal.
     """
-    preds = predict(net, config, series)
-    errors = error_vectors(preds, series, config)
-    density = log_likelihood_batch(scorer, errors)
-    scores = np.full(len(series), math.inf)
-    scores[config.prediction_length:] = np.where(np.isnan(density), -math.inf,
-                                                 density)
-    return scores
+    series_list = list(series_list)
+    all_scores = []
+    for series, preds in zip(series_list,
+                             predict_many(net, config, series_list)):
+        errors = error_vectors(preds, series, config)
+        density = log_likelihood_batch(scorer, errors)
+        scores = np.full(len(series), math.inf)
+        scores[config.prediction_length:] = np.where(np.isnan(density),
+                                                     -math.inf, density)
+        all_scores.append(scores)
+    return all_scores
+
+
+def score_series(net, config, scorer, series):
+    """Scores for every point of one series, as :func:`score_many` gives."""
+    return score_many(net, config, scorer, [series])[0]
 
 
 def detect(net, config, scorer, series):

@@ -203,14 +203,14 @@ class TestPipelineHandoff:
 
     def test_threshold_with_nan_scores_exits_1(self, artifacts, data_dir,
                                                tmp_path, monkeypatch, capsys):
-        real_score_series = cli.score_series
+        real_score_many = cli.score_many
 
-        def score_series_with_nan(*args):
-            scores = real_score_series(*args)
-            scores[-1] = math.nan
+        def score_many_with_nan(*args):
+            scores = real_score_many(*args)
+            scores[-1][-1] = math.nan
             return scores
 
-        monkeypatch.setattr(cli, "score_series", score_series_with_nan)
+        monkeypatch.setattr(cli, "score_many", score_many_with_nan)
         out = tmp_path / "scorer.json"
         assert run(
             "threshold", "--net", artifacts["net"],
@@ -259,6 +259,43 @@ class TestPipelineHandoff:
         ) == 1
         assert "NaN" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failed_detect_keeps_previous_output(self, artifacts, data_dir,
+                                                 tmp_path):
+        # the third input lacks an input channel: detect must fail before
+        # it removes the old output, even under --force
+        test_dir = os.path.join(data_dir, "test")
+        out = tmp_path / "detections"
+        assert run(
+            "detect", "--net", artifacts["net"], "--scorer", artifacts["scorer"],
+            "--data", test_dir, "--out", str(out),
+        ) == 0
+        before = tree_bytes(out)
+        data = tmp_path / "data"
+        data.mkdir()
+        for i, name in enumerate(sorted(os.listdir(test_dir))[:3]):
+            lines = open(os.path.join(test_dir, name)).read().splitlines()
+            if i == 2:
+                col = lines[0].split(",").index("control")
+                lines = [",".join(f for j, f in enumerate(line.split(","))
+                                  if j != col) for line in lines]
+            (data / name).write_text("\n".join(lines) + "\n")
+        assert run(
+            "detect", "--net", artifacts["net"], "--scorer", artifacts["scorer"],
+            "--data", str(data), "--out", str(out), "--force",
+        ) == 1
+        assert tree_bytes(out) == before
+
+    def test_detect_on_directory_without_csv_exits_0(self, artifacts,
+                                                     tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "detections"
+        assert run(
+            "detect", "--net", artifacts["net"], "--scorer", artifacts["scorer"],
+            "--data", str(empty), "--out", str(out),
+        ) == 0
+        assert os.listdir(out) == ["manifest.json"]
 
     def test_wrong_channel_is_runtime_error(self, artifacts, data_dir):
         assert run(

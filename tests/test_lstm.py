@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from odeaug import lstm
 from odeaug.errors import InvalidJobError, TrainingDivergedError
 from odeaug.lstm import (PredictorConfig, init_network,
                          loss_and_gradients, make_targets, network_from_dict,
-                         network_to_dict, predict, train, train_many)
+                         network_to_dict, predict, predict_many, train,
+                         train_many)
 from odeaug.lstm import _forward, _zero_state
 from odeaug.series import TimeSeries
 
@@ -368,6 +370,69 @@ class TestTrainMany:
             train_many([(s, config, val)
                         for (s, _, val), config in zip(jobs, configs)])
         assert info.value.job == 1
+
+
+def _batch_one_predict(net, config, series):
+    """Predictions from one batch-1 pass over the whole series."""
+    x = config.normalize(series, config.input_channels)[np.newaxis]
+    return _forward(net, x, *_zero_state(net, 1))[0][0]
+
+
+def _normalized_config(**overrides):
+    config = toy_config(**overrides)
+    config.norm_mean = {"a": 0.1, "b": -0.2}
+    config.norm_std = {"a": 1.1, "b": 0.9}
+    return config
+
+
+class TestPredictMany:
+    def _assert_rows_match(self, config, series_list):
+        net = init_network(config)
+        preds = predict_many(net, config, series_list)
+        assert len(preds) == len(series_list)
+        for series, pred in zip(series_list, preds):
+            assert np.array_equal(pred, _batch_one_predict(net, config, series))
+
+    @pytest.mark.parametrize("layer_sizes", [(6,), (5, 3)])
+    def test_mixed_lengths_match_batch_one_passes(self, layer_sizes):
+        # seven series in groups of three: the last group holds one
+        lengths = [2, 1000, 37, 64, 129, 3, 500]
+        config = _normalized_config(layer_sizes=layer_sizes,
+                                    series_batch_size=3, tbptt_length=64)
+        self._assert_rows_match(
+            config, [_wave(n, i) for i, n in enumerate(lengths)])
+
+    @pytest.mark.parametrize("tbptt, lengths", [
+        (64, [129]), (64, [129, 70, 2]), (50, [101, 30]), (1, [2, 3, 9]),
+    ])
+    def test_no_one_step_chunk(self, tbptt, lengths):
+        # the longest series leaves one step past the last full chunk
+        config = _normalized_config(layer_sizes=(5, 3), tbptt_length=tbptt)
+        self._assert_rows_match(
+            config, [_wave(n, i) for i, n in enumerate(lengths)])
+
+    def test_groups_of_one(self):
+        config = _normalized_config(layer_sizes=(6,), series_batch_size=1)
+        self._assert_rows_match(config, [_wave(n, n) for n in (90, 2, 65)])
+
+    def test_empty_list(self):
+        config = _normalized_config()
+        assert predict_many(init_network(config), config, []) == []
+
+    @pytest.mark.parametrize("bad, match", [
+        (TimeSeries(["a"], 0.1, np.zeros((10, 1))), "channels"),
+        (TimeSeries(["a", "b"], 0.1, np.zeros((1, 2))), "short"),
+    ])
+    def test_bad_series_rejected_before_any_forward_pass(self, monkeypatch,
+                                                         bad, match):
+        def no_forward(*args):
+            raise AssertionError("a forward pass ran")
+
+        monkeypatch.setattr(lstm, "_forward", no_forward)
+        config = _normalized_config(series_batch_size=1)
+        with pytest.raises(ValueError, match=match):
+            predict_many(init_network(config), config,
+                         [_wave(30, 0), _wave(40, 1), bad])
 
 
 class TestSerialization:

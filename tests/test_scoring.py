@@ -10,7 +10,7 @@ from odeaug.lstm import PredictorConfig, init_network, predict
 from odeaug.scoring import (GaussianScorer, detect, error_vectors, fit_gaussian,
                             log_likelihood, log_likelihood_batch,
                             scorer_from_dict, scorer_to_dict, select_threshold)
-from odeaug.scoring import score_series
+from odeaug.scoring import score_many, score_series
 from odeaug.series import TimeSeries
 
 
@@ -280,6 +280,19 @@ class TestDetect:
         scorer.threshold = float(np.median(scores))
         base = detect(net, config, scorer, series)
         assert base[2:].any() and not base.all()
+
+    def test_score_many_matches_one_series_calls(self):
+        config, net, _, scorer = self._setup()
+        config.series_batch_size = 2
+        rng = np.random.default_rng(5)
+        series_list = [TimeSeries(["x"], 1.0, rng.normal(size=(n, 1)))
+                       for n in (30, 5, 45)]
+        many = score_many(net, config, scorer, series_list)
+        assert len(many) == 3
+        for series, scores in zip(series_list, many):
+            assert np.array_equal(scores,
+                                  score_series(net, config, scorer, series))
+        assert score_many(net, config, scorer, []) == []
 
     def test_overflowed_score_is_flagged(self):
         # a finite residual near the float maximum overflows the solve to
