@@ -20,11 +20,10 @@ from .lstm import (LstmNetwork, PredictorConfig, init_network, predict,
                    predict_many, train)
 from .metrics import MetricsReport, RegimeRow, prf_metrics
 from .ode import (LINEAR1, FitConfig, FitReport, OdeParams, OdeStructure,
-                  PsoConfig, SeriesPair, SgdConfig, evaluate_rhs, fit,
-                  fit_gradient_sgd, integrate, refine_pso)
+                  PsoConfig, SeriesPair, SgdConfig, fit, fit_gradient_sgd,
+                  integrate, refine_pso)
 from .scoring import (GaussianScorer, detect, error_vectors, fit_gaussian,
                       log_likelihood, score_many, select_threshold)
-from .series import (Dataset, TimeSeries, curvature_score,
-                     numerical_derivative, read_csv, smooth, write_csv)
+from .series import TimeSeries, read_csv, write_csv
 
 __version__ = "0.1.0"

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import (ControlProfile, PairFeatures, pair_features,
-                      profile_from_dict, profile_to_dict, render_segments,
-                      sample_segments, select_donor)
+                      render_segments, sample_segments, select_donor)
 from .errors import DivergenceError, GenerationError
-from .ode import LINEAR1, OdeParams, get_structure, integrate, params_from_dict
+from .ode import (LINEAR1, OdeParams, integrate, params_from_dict,
+                  params_to_dict)
 from .series import TimeSeries
 
 
@@ -99,8 +99,6 @@ def generate_series_pair(plan, k):
 # serialization: fitted-pair documents and generation manifests
 
 def fitted_pair_to_dict(pair, structure, **meta):
-    from .ode import params_to_dict
-
     doc = params_to_dict(structure, pair.params)
     doc["initial_value"] = pair.initial_value
     doc["features"] = {
@@ -117,36 +115,3 @@ def fitted_pair_from_dict(doc):
     structure, params = params_from_dict(doc)
     features = PairFeatures(**doc["features"])
     return FittedPair(features, params, float(doc["initial_value"])), structure
-
-
-def plan_to_dict(plan):
-    return {
-        "version": 1,
-        "kind": "augmentation-plan",
-        "profile": profile_to_dict(plan.profile),
-        "fitted": [
-            fitted_pair_to_dict(f, plan.structure) for f in plan.fitted
-        ],
-        "count": plan.count,
-        "length": plan.length,
-        "seed": plan.seed,
-        "sample_period": plan.sample_period,
-        "structure": plan.structure.id,
-        "channel_names": list(plan.channel_names),
-    }
-
-
-def plan_from_dict(doc):
-    if doc.get("kind") != "augmentation-plan":
-        raise ValueError("not an augmentation plan document")
-    fitted = [fitted_pair_from_dict(d)[0] for d in doc["fitted"]]
-    return AugmentationPlan(
-        profile=profile_from_dict(doc["profile"]),
-        fitted=fitted,
-        count=int(doc["count"]),
-        length=int(doc["length"]),
-        seed=int(doc["seed"]),
-        sample_period=float(doc["sample_period"]),
-        structure=get_structure(doc["structure"]),
-        channel_names=tuple(doc["channel_names"]),
-    )

@@ -7,6 +7,7 @@ produced by injecting the standard anomaly kinds; the ground-truth
 parameters (not a fit) drive the wrong-state replacements.
 """
 
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -78,6 +79,10 @@ class BenchmarkConfig:
             raise ValueError("noise_std_frac must be >= 0")
         if self.base_params[1] <= 0:
             raise ValueError("ground-truth decay coefficient must be positive")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError("ridge must be finite and >= 0")
+        if not (math.isfinite(self.threshold_beta) and self.threshold_beta > 0):
+            raise ValueError("threshold_beta must be finite and > 0")
 
     @property
     def target_anomaly_fraction(self):
@@ -93,14 +98,6 @@ class Benchmark:
     val_normal: list
     val_anomalous: list
     test: list
-
-    @property
-    def control_channel(self):
-        return CONTROL_CHANNEL
-
-    @property
-    def dependent_channel(self):
-        return RESPONSE_CHANNEL
 
 
 _SET_TAGS = {"large": 0, "small": 1, "val_normal": 2, "val_anomalous": 3, "test": 4}

@@ -55,9 +55,6 @@ class StateSegmentation:
             pos = seg.end
             prev_state = seg.state
 
-    def states(self):
-        return {seg.state for seg in self.segments}
-
     def state_mask(self, length=None):
         """Boolean array, True where the control is HIGH."""
         n = length or self.segments[-1].end
@@ -96,7 +93,8 @@ def segment_control(series, channel, threshold=AUTO, min_duration=2):
     remain.  ``threshold=AUTO`` places the cut midway between the two
     centroids of a 1-D 2-means clustering of the values; when the
     centroid gap collapses (effectively constant channel) the result is
-    a single segment flagged degenerate.
+    a single segment flagged degenerate.  A numeric threshold must be
+    finite.
     """
     y = series.channel(channel)
     n = y.shape[0]
@@ -116,6 +114,8 @@ def segment_control(series, channel, threshold=AUTO, min_duration=2):
                                      degenerate=True)
         threshold = 0.5 * (c0 + c1)
     threshold = float(threshold)
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
 
     high = y > threshold
     runs = []  # [state, start, length]

@@ -85,10 +85,10 @@ def _apply_sensor_noise(benchmark, series, k):
     rng = np.random.default_rng(
         np.random.SeedSequence([int(config.seed), _SENSOR_TAG, int(k)])
     )
-    name = benchmark.dependent_channel
-    clean = series.channel(name)
+    clean = series.channel(RESPONSE_CHANNEL)
     std = config.noise_std_frac * float(np.max(clean) - np.min(clean))
-    return series.with_channel(name, clean + rng.normal(0.0, std, clean.shape[0]))
+    return series.with_channel(
+        RESPONSE_CHANNEL, clean + rng.normal(0.0, std, clean.shape[0]))
 
 
 def _predictor_config(benchmark):

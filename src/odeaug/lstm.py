@@ -557,8 +557,8 @@ def train_many(jobs):
     :class:`TrainingDivergedError`, and both carry the job's index as
     ``job``.
     """
-    jobs = [(list(getattr(s, "series", s)), config, val)
-            for s, config, val in jobs]
+    jobs = [(list(series_list), config, val)
+            for series_list, config, val in jobs]
     if not jobs:
         raise ValueError("no training jobs")
     for index, (series_list, config, _) in enumerate(jobs):
@@ -617,12 +617,11 @@ def train_many(jobs):
 def train(series_list, config, val_series=None):
     """Train a predictor on normal series; returns (network, training log).
 
-    Accepts a plain list of series or a Dataset.  Normalization statistics
-    are computed from the training series and stored on the config (in
-    place).  Early stopping monitors the masked MSE on ``val_series`` when
-    given, otherwise on a held-out fraction of the training series (seeded
-    shuffle); the weights from the best epoch are returned.  This is
-    :func:`train_many` with one job.
+    Normalization statistics are computed from the training series and
+    stored on the config (in place).  Early stopping monitors the masked
+    MSE on ``val_series`` when given, otherwise on a held-out fraction of
+    the training series (seeded shuffle); the weights from the best epoch
+    are returned.  This is :func:`train_many` with one job.
 
     Raises :class:`TrainingDivergedError` if the loss becomes non-finite.
     """

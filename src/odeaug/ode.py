@@ -22,18 +22,17 @@ from .series import TimeSeries, curvature, derivative, moving_average
 
 @dataclass(frozen=True)
 class OdeStructure:
-    """Right-hand side of the model plus its parameter gradient.
+    """Right-hand side ``rhs(params, x, u)`` of the model, returning dx/dt.
 
-    ``rhs(params, x, u)`` returns dx/dt; ``rhs_param_gradient(params, x, u)``
-    returns the length-``param_count`` vector of partial derivatives of the
-    right-hand side with respect to each parameter.  Structures are linear
-    in their parameters, rhs = rhs(0, x, u) + gradient . params, which the
-    gradient-matching solver assumes.
+    ``x`` and ``u`` may be scalars or equal-length arrays, and each
+    parameter a scalar or an array column.  Structures are linear in their
+    parameters, rhs = rhs(0, x, u) + sum_j params[j] * (rhs(e_j, x, u) -
+    rhs(0, x, u)), which the gradient-matching solver uses to derive its
+    design rows from ``rhs`` alone.
     """
 
     id: str
     rhs: Callable
-    rhs_param_gradient: Callable
     param_count: int
 
 
@@ -41,12 +40,8 @@ def _linear1_rhs(p, x, u):
     return p[0] * u - p[1] * x + p[2]
 
 
-def _linear1_grad(p, x, u):
-    return np.array([u, -x, 1.0])
-
-
 #: First-order linear response to a control input: gain, decay, offset.
-LINEAR1 = OdeStructure("linear1", _linear1_rhs, _linear1_grad, 3)
+LINEAR1 = OdeStructure("linear1", _linear1_rhs, 3)
 
 STRUCTURES = {LINEAR1.id: LINEAR1}
 
@@ -56,17 +51,6 @@ def get_structure(structure_id):
         return STRUCTURES[structure_id]
     except KeyError:
         raise ValueError(f"unknown ODE structure {structure_id!r}") from None
-
-
-def evaluate_rhs(structure, params, x_d, x_c):
-    """Evaluate dx/dt for one state/control sample; checks parameter arity."""
-    params = tuple(float(p) for p in params)
-    if len(params) != structure.param_count:
-        raise ValueError(
-            f"{structure.id} expects {structure.param_count} parameters, "
-            f"got {len(params)}"
-        )
-    return float(structure.rhs(params, float(x_d), float(x_c)))
 
 
 @dataclass
@@ -102,17 +86,6 @@ class OdeParams:
     @classmethod
     def single(cls, params, length):
         return cls([(0, int(length), tuple(params))])
-
-    @property
-    def span(self):
-        return self.windows[0][0], self.windows[-1][1]
-
-    def params_at(self, index):
-        """Parameters governing step ``index``; out-of-span indices clamp."""
-        for start, end, params in self.windows:
-            if index < end:
-                return params
-        return self.windows[-1][2]
 
 
 def _check_arity(structure, windows):
@@ -156,10 +129,11 @@ class SeriesPair:
             raise ValueError("sample_period must be positive")
 
     @classmethod
-    def from_series(cls, series: TimeSeries, control_channel, dependent_channel):
+    def from_series(cls, series: TimeSeries, control, dependent):
+        """The pair of channels named ``control`` and ``dependent``."""
         return cls(
-            series.channel(control_channel),
-            series.channel(dependent_channel),
+            series.channel(control),
+            series.channel(dependent),
             series.sample_period,
         )
 
@@ -213,7 +187,7 @@ def integrate(structure, params, control, x0, dt, abs_bound=None):
     half = 0.5 * dt
     sixth = dt / 6.0
     # step i runs under the first window with i < end; the last window also
-    # covers every step past its end (the clamping of OdeParams.params_at)
+    # covers every step past its end
     stops = [min(max(end, 0), n - 1) for _, end, _ in windows[:-1]] + [n - 1]
     with np.errstate(all="ignore"):
         for start, stop, (_, _, p) in zip([0] + stops, stops, windows):
@@ -332,9 +306,9 @@ class FitConfig:
     sgd: SgdConfig = field(default_factory=SgdConfig)
     use_pso: bool = False
     pso: PsoConfig = field(default_factory=PsoConfig)
-    #: Optional explicit window boundaries [(start, end), ...]; None fits a
+    #: Optional explicit window boundaries ((start, end), ...); None fits a
     #: single window spanning the whole pair.
-    window_bounds: list = None
+    window_bounds: tuple = None
 
     def __post_init__(self):
         if not (self.drop_fractions
@@ -357,6 +331,9 @@ class FitConfig:
                     "window_bounds must be contiguous, ordered integer "
                     "(start, end) pairs starting at 0")
             previous_end = end
+        if self.window_bounds is not None:
+            self.window_bounds = tuple(
+                (int(start), int(end)) for start, end in self.window_bounds)
 
 
 class FitCandidate(NamedTuple):
@@ -469,7 +446,7 @@ def fit_gradient_sgd(pair, structure, drop_fractions, config=None):
     targets = derivative(smoothed, pair.sample_period, 1)
     bound = _divergence_bound(pair.dependent)
 
-    probe = np.zeros(structure.param_count)
+    k = structure.param_count
     candidates = []
     ss = np.random.SeedSequence([_seed_entropy(config.seed), 101])
     streams = ss.spawn(len(drop_fractions))
@@ -480,13 +457,13 @@ def fit_gradient_sgd(pair, structure, drop_fractions, config=None):
                 f"only {keep.shape[0]} samples retained after dropping; "
                 f"need at least {config.min_points}"
             )
-        # linear in the parameters: the design rows and offsets at zero
-        # parameters define the whole regression
-        points = list(zip(smoothed[keep], pair.control[keep]))
-        rows = np.array(
-            [structure.rhs_param_gradient(probe, x, u) for x, u in points], dtype=float
+        # linear in the parameters: the right-hand side at zero parameters
+        # and at each unit vector defines the whole regression
+        xs, us = smoothed[keep], pair.control[keep]
+        offsets = structure.rhs(np.zeros(k), xs, us)
+        rows = np.column_stack(
+            [structure.rhs(e_j, xs, us) - offsets for e_j in np.eye(k)]
         )
-        offsets = np.array([structure.rhs(probe, x, u) for x, u in points], dtype=float)
         _check_identifiable(rows)
         rng = np.random.default_rng(stream)
         p = _sgd_minimize(targets[keep], rows, offsets, config.sgd, rng)

@@ -91,9 +91,12 @@ def fit_gaussian(mat, ridge=1e-6):
     """Maximum-likelihood Gaussian over the rows of an error-vector array.
 
     The stored covariance is the MLE (1/N) covariance plus ``ridge`` times
-    the identity.  Requires at least two vectors; positive definiteness is
-    verified eagerly so degenerate fits fail here, not at scoring time.
+    the identity, with ``ridge`` finite and >= 0.  Requires at least two
+    vectors; positive definiteness is verified eagerly so degenerate fits
+    fail here, not at scoring time.
     """
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 2:
         raise ValueError("need at least two error vectors")
@@ -140,10 +143,13 @@ def select_threshold(scores, labels, beta=1.0):
     Candidates are the midpoints between consecutive sorted unique scores
     plus -inf/+inf sentinels.  Ties prefer higher recall, then the lower
     threshold.  Returns (threshold, achieved F).  Scores may be +inf (the
-    warm-up points of :func:`score_many`) but not NaN.
+    warm-up points of :func:`score_many`) but not NaN; ``beta`` must be
+    finite and > 0.
 
     Raises :class:`DegenerateLabelsError` when labels are single-class.
     """
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape or scores.ndim != 1:

@@ -1,10 +1,8 @@
 """Time-series containers and the numerical preprocessing primitives.
 
-A :class:`TimeSeries` is a uniformly sampled multichannel record; a
-:class:`Dataset` groups series and splits channels into control (exogenous
-input) and dependent (state) roles.  The array-level helpers
-(:func:`moving_average`, :func:`derivative`, :func:`curvature`) back the
-series-level operations and are reused directly by the model-fitting code.
+A :class:`TimeSeries` is a uniformly sampled multichannel record.  The
+array-level helpers (:func:`moving_average`, :func:`derivative`,
+:func:`curvature`) preprocess the dependent channel for the model fit.
 
 All operations are pure: they return new objects and never mutate their
 inputs, so values can be shared freely across threads.
@@ -66,15 +64,6 @@ class TimeSeries:
     def __len__(self):
         return self.values.shape[0]
 
-    @property
-    def n_channels(self):
-        return self.values.shape[1]
-
-    @property
-    def times(self):
-        """Implicit time grid: index times sample period, starting at zero."""
-        return np.arange(len(self)) * self.sample_period
-
     def channel_index(self, name):
         try:
             return self.channel_names.index(name)
@@ -98,36 +87,6 @@ class TimeSeries:
     def with_labels(self, labels):
         return TimeSeries(self.channel_names, self.sample_period,
                           self.values.copy(), np.asarray(labels, dtype=bool))
-
-
-@dataclass
-class Dataset:
-    """A list of series sharing a channel layout, split into roles.
-
-    ``control_channels`` and ``dependent_channels`` must be disjoint and
-    together cover every channel name; every series must share the same
-    channel names in the same order.
-    """
-
-    series: list
-    control_channels: tuple
-    dependent_channels: tuple
-
-    def __post_init__(self):
-        self.series = list(self.series)
-        self.control_channels = tuple(self.control_channels)
-        self.dependent_channels = tuple(self.dependent_channels)
-        if not self.series:
-            raise ValueError("dataset needs at least one series")
-        names = self.series[0].channel_names
-        for s in self.series[1:]:
-            if s.channel_names != names:
-                raise ValueError("all series must share channel names and order")
-        ctrl, dep = set(self.control_channels), set(self.dependent_channels)
-        if ctrl & dep:
-            raise ValueError("control and dependent channel sets overlap")
-        if ctrl | dep != set(names):
-            raise ValueError("control + dependent sets must cover all channels")
 
 
 # ---------------------------------------------------------------------------
@@ -206,24 +165,6 @@ def curvature(y, dt, max_order=3):
             s = 1.0
         score += np.abs(d) / s
     return score
-
-
-# ---------------------------------------------------------------------------
-# series-level operations
-
-def smooth(series, channel, window=5):
-    """Return the series with one channel replaced by its moving average."""
-    return series.with_channel(channel, moving_average(series.channel(channel), window))
-
-
-def numerical_derivative(series, channel, order=1):
-    """Order-th time derivative of a channel, in channel units per second**order."""
-    return derivative(series.channel(channel), series.sample_period, order)
-
-
-def curvature_score(series, channel, max_order=3):
-    """Per-point sharpness score of a channel; higher = sharper local variation."""
-    return curvature(series.channel(channel), series.sample_period, max_order)
 
 
 # ---------------------------------------------------------------------------

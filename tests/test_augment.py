@@ -5,7 +5,7 @@ import pytest
 
 from odeaug.augment import (AugmentationPlan, FittedPair, fitted_pair_from_dict,
                             fitted_pair_to_dict, generate_series_pair,
-                            generate_with_record, plan_from_dict, plan_to_dict)
+                            generate_with_record)
 from odeaug.control import PairFeatures, build_profile, segment_control
 from odeaug.ode import LINEAR1, OdeParams
 from odeaug.series import TimeSeries
@@ -111,17 +111,6 @@ class TestPlanValidation:
                 profile=plan.profile, fitted=[], count=1, length=10, seed=0,
                 sample_period=0.1,
             )
-
-    def test_json_round_trip(self):
-        plan = make_plan()
-        back = plan_from_dict(plan_to_dict(plan))
-        assert back.count == plan.count
-        assert back.length == plan.length
-        assert back.channel_names == plan.channel_names
-        assert back.fitted[0].params.windows == plan.fitted[0].params.windows
-        a = generate_series_pair(plan, 1)
-        b = generate_series_pair(back, 1)
-        assert np.array_equal(a.values, b.values)
 
 
 class TestFittedPairDocument:

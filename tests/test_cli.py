@@ -221,6 +221,28 @@ class TestPipelineHandoff:
         assert "NaN" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_threshold_with_nan_beta_exits_1(self, artifacts, data_dir,
+                                             tmp_path, capsys):
+        out = tmp_path / "scorer.json"
+        assert run(
+            "threshold", "--net", artifacts["net"],
+            "--normal", os.path.join(data_dir, "val_normal"),
+            "--labeled", os.path.join(data_dir, "val_anomalous"),
+            "--beta", "nan", "--out", str(out),
+        ) == 1
+        assert "beta" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_synth_control_with_nan_threshold_exits_1(self, data_dir, tmp_path,
+                                                      capsys):
+        out = tmp_path / "profile.json"
+        assert run(
+            "synth-control", "--data", os.path.join(data_dir, "small"),
+            "--channel", "control", "--threshold", "nan", "--out", str(out),
+        ) == 1
+        assert "threshold" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_detect_flags_overflowed_score(self, artifacts, data_dir, tmp_path):
         # read_csv accepts the value (it is finite); against a tight
         # covariance the density overflows to NaN
@@ -379,6 +401,22 @@ class TestExperimentCommands:
             f_by_regime["S(r)"], abs=5e-7)
         assert float(curve_rows[1]["f_score"]) == pytest.approx(
             f_by_regime["S(r)+ODE(s)"], abs=5e-7)
+
+    @pytest.mark.parametrize("command", ["experiment", "curve"])
+    @pytest.mark.parametrize("key, value", [("threshold_beta", math.nan),
+                                            ("ridge", -1.0)])
+    def test_bad_scoring_config_fails_before_training(
+            self, tmp_path, monkeypatch, capsys, command, key, value):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the benchmark was built")
+
+        monkeypatch.setattr(cli, "gen_benchmark", must_not_run)
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(config), "--out", str(out)) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_experiment_rerun_byte_identical(self, tmp_path, bench_config):
         a = tmp_path / "a"

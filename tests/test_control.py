@@ -1,5 +1,7 @@
 """Segmentation, histogram profiles, control sampling, donor selection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,13 @@ class TestSegmentControl:
         only = seg.segments[0]
         assert only.state is State.LOW and only.duration == 5
         assert only.level == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # a NaN threshold used to mark every value LOW: one LOW segment
+        with pytest.raises(ValueError, match="threshold"):
+            segment_control(series_of([0, 0, 0, 1, 1, 1]), "u",
+                            threshold=threshold, min_duration=2)
 
     def test_auto_threshold_two_clusters(self):
         y = [0.1, 0.12, 0.11, 0.9, 0.92, 0.88, 0.1, 0.11, 0.9, 0.91]

@@ -1,5 +1,7 @@
 """Benchmark generation and the regime experiment harness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,15 @@ class TestGenBenchmark:
         config = tiny_config(seed=9)
         back = config_from_dict(config_to_dict(config))
         assert back == config
+
+    @pytest.mark.parametrize("name, value", [
+        ("ridge", math.nan), ("ridge", math.inf), ("ridge", -1.0),
+        ("threshold_beta", math.nan), ("threshold_beta", math.inf),
+        ("threshold_beta", 0.0),
+    ])
+    def test_config_rejects_bad_scoring_value(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            tiny_config(**{name: value})
 
 
 class TestRunExperiment:

@@ -250,20 +250,6 @@ class TestTrain:
         assert log.best_epoch >= 0
         assert len(log.val_losses) <= 200
 
-    def test_accepts_dataset_container(self):
-        from odeaug.series import Dataset
-
-        series = self._sine_series(60)
-        config = PredictorConfig(
-            input_channels=("s",), predicted_channels=("s",),
-            layer_sizes=(4,), prediction_length=1, epochs=2, seed=0,
-            val_fraction=0.0, patience=10**9,
-        )
-        dataset = Dataset([series], control_channels=(),
-                          dependent_channels=("s",))
-        net, _ = train(dataset, config)
-        assert net.w_out.shape == (1, 4)
-
     def test_normalization_stats_stored(self):
         config = PredictorConfig(
             input_channels=("s",), predicted_channels=("s",),

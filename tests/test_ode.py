@@ -8,11 +8,10 @@ import pytest
 from odeaug.errors import (DivergenceError, RefinementFailedError,
                            UnidentifiableError)
 from odeaug.ode import (LINEAR1, FitConfig, OdeParams, PsoConfig, SeriesPair,
-                        SgdConfig, evaluate_rhs, fit, fit_gradient_sgd,
-                        integrate, integration_rmse, params_from_dict,
-                        params_to_dict, refine_pso, stability_notes,
-                        _candidate_box, _divergence_bound, _retained_indices,
-                        _seed_entropy)
+                        SgdConfig, fit, fit_gradient_sgd, integrate,
+                        integration_rmse, params_from_dict, params_to_dict,
+                        refine_pso, stability_notes, _candidate_box,
+                        _divergence_bound, _retained_indices, _seed_entropy)
 from odeaug.series import derivative, moving_average
 
 
@@ -36,31 +35,22 @@ def two_level_pair(params, n=400, dt=0.1, noise=0.0, seed=7):
 
 
 class TestEvaluateRhs:
+    """``LINEAR1.rhs(params, x, u)`` against hand-computed values."""
+
     def test_direct_substitution(self):
-        assert evaluate_rhs(LINEAR1, (1, 1, 0), 0.0, 1.0) == pytest.approx(1.0)
+        assert LINEAR1.rhs((1, 1, 0), 0.0, 1.0) == pytest.approx(1.0)
 
     def test_equilibrium_point(self):
-        assert evaluate_rhs(LINEAR1, (1, 1, 0), 1.0, 1.0) == pytest.approx(0.0)
+        assert LINEAR1.rhs((1, 1, 0), 1.0, 1.0) == pytest.approx(0.0)
 
     def test_general_case(self):
-        assert evaluate_rhs(LINEAR1, (2, 0.5, 0.1), 0.4, 0.3) == pytest.approx(0.5)
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError, match="parameters"):
-            evaluate_rhs(LINEAR1, (1, 1), 0.0, 1.0)
+        assert LINEAR1.rhs((2, 0.5, 0.1), 0.4, 0.3) == pytest.approx(0.5)
 
 
 class TestOdeParams:
     def test_windows_must_be_contiguous(self):
         with pytest.raises(ValueError, match="contiguous"):
             OdeParams([(0, 10, (1, 1, 0)), (12, 20, (1, 1, 0))])
-
-    def test_lookup_with_clamping(self):
-        p = OdeParams([(0, 10, (1.0, 1.0, 0.0)), (10, 20, (2.0, 1.0, 0.0))])
-        assert p.params_at(0)[0] == 1.0
-        assert p.params_at(9)[0] == 1.0
-        assert p.params_at(10)[0] == 2.0
-        assert p.params_at(99)[0] == 2.0
 
     def test_stability_note_for_nonpositive_decay(self):
         p = OdeParams.single((1.0, -0.5, 0.0), 10)
@@ -120,6 +110,24 @@ class TestIntegrate:
         from_array = integrate(LINEAR1, np.array([1.0, 0.5, 0.0]), u, 0.2, 0.1)
         from_tuple = integrate(LINEAR1, (1.0, 0.5, 0.0), u, 0.2, 0.1)
         assert from_array.tobytes() == from_tuple.tobytes()
+
+    def test_out_of_span_steps_clamp_to_last_window(self):
+        # step i runs under the first window with i < end; every step past
+        # the 20-sample span runs under the last window
+        windows = [(0, 10, (1.0, 1.0, 0.0)), (10, 20, (2.0, 0.4, 0.3))]
+        u = np.random.default_rng(5).uniform(0.1, 1.0, 40)
+        dt = 0.1
+        expected = [0.2]
+        for i in range(39):
+            p = windows[0][2] if i < 10 else windows[1][2]
+            x = expected[-1]
+            k1 = LINEAR1.rhs(p, x, u[i])
+            k2 = LINEAR1.rhs(p, x + 0.5 * dt * k1, u[i])
+            k3 = LINEAR1.rhs(p, x + 0.5 * dt * k2, u[i])
+            k4 = LINEAR1.rhs(p, x + dt * k3, u[i])
+            expected.append(x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4))
+        traj = integrate(LINEAR1, OdeParams(windows), u, 0.2, dt)
+        assert traj.tobytes() == np.array(expected).tobytes()
 
     def test_monotone_approach_to_equilibrium(self):
         p = (2.0, 0.5, 0.1)
@@ -251,7 +259,8 @@ class TestFit:
         config = FitConfig(seed=0, window_bounds=[(0, half), (half, len(pair))])
         report = fit(pair, LINEAR1, config)
         assert len(report.params.windows) == 2
-        assert report.params.span == (0, len(pair))
+        windows = report.params.windows
+        assert (windows[0][0], windows[-1][1]) == (0, len(pair))
         for _, _, params in report.params.windows:
             assert all(abs(g - t) / abs(t) < 0.1
                        for g, t in zip(params, (1.5, 0.8, 0.2)))

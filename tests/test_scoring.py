@@ -124,6 +124,12 @@ class TestFitGaussian:
         with pytest.raises(ValueError, match="two"):
             fit_gaussian(np.array([[1.0]]))
 
+    @pytest.mark.parametrize("ridge", [math.nan, math.inf, -1e-6])
+    def test_bad_ridge_rejected(self, ridge):
+        mat = np.random.default_rng(4).normal(size=(10, 2))
+        with pytest.raises(ValueError, match="ridge"):
+            fit_gaussian(mat, ridge=ridge)
+
 
 class TestLogLikelihood:
     def test_standard_normal_at_mean(self):
@@ -221,6 +227,12 @@ class TestSelectThreshold:
         tau2, f2 = select_threshold(scores, labels, beta=2.0)
         bf_tau, bf_f = brute_force_threshold(scores, labels, beta=2.0)
         assert f2 == pytest.approx(bf_f, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_beta_rejected(self, beta):
+        # a NaN beta used to make every F NaN, so tie-breaks alone chose
+        with pytest.raises(ValueError, match="beta"):
+            select_threshold([0.1, 0.2, 0.3, 0.4], [1, 1, 0, 0], beta=beta)
 
     def test_nan_score_rejected(self):
         with pytest.raises(ValueError, match="NaN"):

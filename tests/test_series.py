@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from odeaug.errors import CsvFormatError
-from odeaug.series import (Dataset, TimeSeries, curvature_score, moving_average,
-                           numerical_derivative, read_csv, smooth, write_csv)
+from odeaug.series import (TimeSeries, curvature, derivative, moving_average,
+                           read_csv, write_csv)
 
 
 def make_series(values, dt=0.1, names=None, labels=None):
@@ -20,7 +20,6 @@ class TestTimeSeries:
     def test_basic_invariants(self):
         ts = make_series([[1.0, 2.0], [3.0, 4.0]], names=["u", "x"])
         assert len(ts) == 2
-        assert ts.n_channels == 2
         assert ts.channel("x").tolist() == [2.0, 4.0]
 
     def test_rejects_nonfinite(self):
@@ -45,51 +44,39 @@ class TestTimeSeries:
         assert ts.channel("x").tolist() == [1.0, 2.0]
         assert out.channel("x").tolist() == [5.0, 6.0]
 
-    def test_times_grid(self):
+    def test_times_grid(self, tmp_path):
+        # the implicit time grid, index times sample period from zero, is
+        # the t column of the CSV schema
         ts = make_series([1.0, 2.0, 3.0], dt=0.5)
-        assert np.allclose(ts.times, [0.0, 0.5, 1.0])
-
-
-class TestDataset:
-    def test_roles_must_cover_and_not_overlap(self):
-        ts = make_series([[1.0, 2.0], [3.0, 4.0]], names=["u", "x"])
-        Dataset([ts], ("u",), ("x",))
-        with pytest.raises(ValueError, match="overlap"):
-            Dataset([ts], ("u", "x"), ("x",))
-        with pytest.raises(ValueError, match="cover"):
-            Dataset([ts], ("u",), ())
-
-    def test_series_must_share_channels(self):
-        a = make_series([[1.0]], names=["u"])
-        b = make_series([[1.0]], names=["x"])
-        with pytest.raises(ValueError, match="share"):
-            Dataset([a, b], ("u",), ())
+        write_csv(ts, tmp_path / "grid.csv")
+        t = np.loadtxt(tmp_path / "grid.csv", delimiter=",", skiprows=1)[:, 0]
+        assert np.allclose(t, [0.0, 0.5, 1.0])
 
 
 class TestSmooth:
     def test_constant_channel_unchanged(self):
         ts = make_series([5.0, 5.0, 5.0, 5.0], names=["x"])
-        assert smooth(ts, "x", 3).channel("x").tolist() == [5.0] * 4
+        assert moving_average(ts.channel("x"), 3).tolist() == [5.0] * 4
 
     def test_window_one_is_identity(self):
         ts = make_series([1.0, 4.0, 2.0, 8.0], names=["x"])
-        assert smooth(ts, "x", 1).channel("x").tolist() == [1.0, 4.0, 2.0, 8.0]
+        assert moving_average(ts.channel("x"), 1).tolist() == [1.0, 4.0, 2.0, 8.0]
 
     def test_center_of_three_point_window(self):
         ts = make_series([0.0, 3.0, 0.0], names=["x"])
-        assert smooth(ts, "x", 3).channel("x")[1] == pytest.approx(1.0)
+        assert moving_average(ts.channel("x"), 3)[1] == pytest.approx(1.0)
 
     def test_other_channels_untouched(self):
         ts = make_series([[0.0, 9.0], [3.0, 9.0], [0.0, 9.0]], names=["x", "y"])
-        out = smooth(ts, "x", 3)
+        out = ts.with_channel("x", moving_average(ts.channel("x"), 3))
         assert out.channel("y").tolist() == [9.0, 9.0, 9.0]
 
     def test_even_or_oversized_window_rejected(self):
         ts = make_series([1.0, 2.0, 3.0], names=["x"])
         with pytest.raises(ValueError):
-            smooth(ts, "x", 2)
+            moving_average(ts.channel("x"), 2)
         with pytest.raises(ValueError):
-            smooth(ts, "x", 5)
+            moving_average(ts.channel("x"), 5)
 
     def test_never_extends_range(self):
         rng = np.random.default_rng(0)
@@ -107,34 +94,34 @@ class TestNumericalDerivative:
     def test_linear_channel_exact_everywhere(self):
         dt = 0.1
         ts = make_series(2.0 * np.arange(20) * dt, dt=dt, names=["x"])
-        d = numerical_derivative(ts, "x", 1)
+        d = derivative(ts.channel("x"), ts.sample_period, 1)
         assert np.allclose(d, 2.0, atol=1e-12)
 
     def test_quadratic_exact_at_interior(self):
         dt = 0.05
         t = np.arange(30) * dt
         ts = make_series(t**2, dt=dt, names=["x"])
-        d = numerical_derivative(ts, "x", 1)
+        d = derivative(ts.channel("x"), ts.sample_period, 1)
         assert np.allclose(d[1:-1], 2.0 * t[1:-1], atol=1e-10)
 
     def test_sine_against_cosine_oracle(self):
         dt = 0.001
         t = np.arange(0.0, 2.0 * np.pi, dt)
         ts = make_series(np.sin(t), dt=dt, names=["x"])
-        d = numerical_derivative(ts, "x", 1)
+        d = derivative(ts.channel("x"), ts.sample_period, 1)
         assert np.max(np.abs(d - np.cos(t))) < 1e-5
 
     def test_second_order_of_quadratic(self):
         dt = 0.05
         t = np.arange(30) * dt
         ts = make_series(t**2, dt=dt, names=["x"])
-        d2 = numerical_derivative(ts, "x", 2)
+        d2 = derivative(ts.channel("x"), ts.sample_period, 2)
         assert np.allclose(d2[2:-2], 2.0, atol=1e-9)
 
     def test_too_short_rejected(self):
         ts = make_series([1.0, 2.0], names=["x"])
         with pytest.raises(ValueError, match="short"):
-            numerical_derivative(ts, "x", 1)
+            derivative(ts.channel("x"), ts.sample_period, 1)
 
 
 def _oracle_curvature(y, dt, max_order):
@@ -161,18 +148,18 @@ def _oracle_curvature(y, dt, max_order):
 class TestCurvatureScore:
     def test_constant_channel_scores_zero(self):
         ts = make_series(np.full(12, 4.0), names=["x"])
-        assert np.allclose(curvature_score(ts, "x", 3), 0.0)
+        assert np.allclose(curvature(ts.channel("x"), ts.sample_period, 3), 0.0)
 
     def test_linear_channel_uniform_interior(self):
         dt = 0.1
         ts = make_series(3.0 * np.arange(20) * dt, dt=dt, names=["x"])
-        score = curvature_score(ts, "x", 3)
+        score = curvature(ts.channel("x"), ts.sample_period, 3)
         assert np.allclose(score[1:-1], score[1], atol=1e-9)
 
     def test_step_signal_peaks_at_edge(self):
         y = np.array([0.0] * 5 + [1.0] * 5)
         ts = make_series(y, dt=1.0, names=["x"])
-        score = curvature_score(ts, "x", 3)
+        score = curvature(ts.channel("x"), ts.sample_period, 3)
         oracle = _oracle_curvature(y, 1.0, 3)
         assert np.allclose(score, oracle, atol=1e-12)
         assert np.argmax(score) in (4, 5)
@@ -183,7 +170,8 @@ class TestCurvatureScore:
         ts_a = make_series(y, names=["x"])
         ts_b = make_series(y + 100.0, names=["x"])
         assert np.allclose(
-            curvature_score(ts_a, "x", 3), curvature_score(ts_b, "x", 3), atol=1e-7
+            curvature(ts_a.channel("x"), ts_a.sample_period, 3),
+            curvature(ts_b.channel("x"), ts_b.sample_period, 3), atol=1e-7
         )
 
 
