@@ -15,7 +15,8 @@ import numpy as np
 from .anomalies import AnomalyKind, AnomalySpec, inject
 from .control import AUTO, segment_control
 from .errors import PlacementError
-from .ode import LINEAR1, FitConfig, OdeParams, SgdConfig, integrate
+from .ode import (LINEAR1, FitConfig, OdeParams, PsoConfig, SgdConfig,
+                  integrate)
 from .series import TimeSeries
 
 CONTROL_CHANNEL = "control"
@@ -42,6 +43,9 @@ class LstmSettings:
     tbptt_length: int = 64
     series_batch_size: int = 8
     patience: int = 6
+
+    def __post_init__(self):
+        self.layer_sizes = tuple(self.layer_sizes)
 
 
 @dataclass
@@ -70,6 +74,9 @@ class BenchmarkConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
+        for name in ("base_params", "duration_range", "low_level_range",
+                     "high_level_range"):
+            setattr(self, name, tuple(getattr(self, name)))
         self.anomaly_kinds = tuple(_as_kind(k) for k in self.anomaly_kinds)
         for name in ("series_length", "n_large", "n_small", "n_generated",
                      "n_val_normal", "n_val_anomalous", "n_test"):
@@ -210,25 +217,16 @@ def config_to_dict(config):
 
 
 def config_from_dict(doc):
+    """The config a :func:`config_to_dict` document describes; the
+    dataclasses turn JSON lists back into tuples themselves."""
     doc = dict(doc)
     if "lstm" in doc and isinstance(doc["lstm"], dict):
-        lstm = dict(doc["lstm"])
-        if "layer_sizes" in lstm:
-            lstm["layer_sizes"] = tuple(lstm["layer_sizes"])
-        doc["lstm"] = LstmSettings(**lstm)
+        doc["lstm"] = LstmSettings(**doc["lstm"])
     if "fit" in doc and isinstance(doc["fit"], dict):
         fit = dict(doc["fit"])
         if "sgd" in fit and isinstance(fit["sgd"], dict):
             fit["sgd"] = SgdConfig(**fit["sgd"])
         if "pso" in fit and isinstance(fit["pso"], dict):
-            from .ode import PsoConfig
-
             fit["pso"] = PsoConfig(**fit["pso"])
-        if "drop_fractions" in fit:
-            fit["drop_fractions"] = tuple(fit["drop_fractions"])
         doc["fit"] = FitConfig(**fit)
-    for key in ("base_params", "duration_range", "low_level_range",
-                "high_level_range", "anomaly_kinds"):
-        if key in doc and isinstance(doc[key], list):
-            doc[key] = tuple(doc[key])
     return BenchmarkConfig(**doc)

@@ -32,9 +32,9 @@ from .lstm import (PredictorConfig, network_from_dict,  # noqa: F401
                    network_to_dict, predict, predict_many, train)
 from .metrics import MetricsReport, RegimeRow, prf_metrics
 from .ode import LINEAR1, SeriesPair, fit, get_structure
-from .scoring import (error_vectors, fit_gaussian, score_many,  # noqa: F401
-                      score_series, scorer_from_dict, scorer_to_dict,
-                      select_threshold)
+from .scoring import (check_beta, check_ridge, error_vectors,  # noqa: F401
+                      fit_gaussian, score_many, score_series,
+                      scorer_from_dict, scorer_to_dict, select_threshold)
 from .series import read_csv, read_csv_dir, write_csv
 
 _RUNTIME_ERRORS = (
@@ -320,14 +320,17 @@ def cmd_train(args):
 
 
 def cmd_threshold(args):
+    # every argument and input is checked before any series is predicted
+    check_ridge(args.ridge)
+    check_beta(args.beta)
     net, config = network_from_dict(_read_json(args.net))
     normal = _load_series_any(args.normal)
-    pooled = [error_vectors(preds, series, config) for series, preds
-              in zip(normal, predict_many(net, config, normal))]
-    scorer = fit_gaussian(np.concatenate(pooled), ridge=args.ridge)
     labeled = _load_series_any(args.labeled)
     if any(series.labels is None for series in labeled):
         raise ValueError("threshold selection needs labeled series")
+    pooled = [error_vectors(preds, series, config) for series, preds
+              in zip(normal, predict_many(net, config, normal))]
+    scorer = fit_gaussian(np.concatenate(pooled), ridge=args.ridge)
     scores = score_many(net, config, scorer, labeled)
     tau, achieved = select_threshold(
         np.concatenate(scores),

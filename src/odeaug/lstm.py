@@ -82,11 +82,20 @@ class PredictorConfig:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
+    """Logistic function without overflow, branch-free.
+
+    With ``e = exp(-|z|)`` this is ``1 / (1 + e)`` where ``z >= 0`` and
+    ``e / (1 + e)`` elsewhere: the same operations on the same operands
+    as evaluating ``1 / (1 + exp(-z))`` and ``exp(z) / (1 + exp(z))`` on
+    the two halves separately, so the result is the same bit for bit,
+    ±0.0, overflow and NaN included, without boolean gathers and scatters.
+    ``-|z|`` is taken as ``z`` off the ``z >= 0`` half, so a NaN keeps its
+    sign bit.
+    """
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.where(pos, -z, z))
+    out = np.where(pos, 1.0, e)
+    out /= 1.0 + e
     return out
 
 

@@ -311,6 +311,7 @@ class FitConfig:
     window_bounds: tuple = None
 
     def __post_init__(self):
+        self.drop_fractions = tuple(self.drop_fractions)
         if not (self.drop_fractions
                 and all(0 <= q <= 0.5 for q in self.drop_fractions)):
             raise ValueError("drop_fractions must be non-empty, each in [0, 0.5]")
@@ -355,57 +356,79 @@ class FitReport:
 # ---------------------------------------------------------------------------
 # gradient-matching stage
 
+#: Epochs per block of the deferred loss check in :func:`_sgd_minimize`;
+#: its temporary is this many residual vectors, whatever the epoch count.
+_LOSS_CHUNK = 16
+
+
 def _sgd_minimize(targets, rows, offsets, config, rng):
     """Per-point SGD on the squared gradient-matching residual.
 
-    ``rows`` are the parameter-gradient design rows and ``offsets`` the
-    right-hand side at zero parameters, one per retained point; the
-    structure is linear in its parameters, so the residual of point ``t``
-    is ``targets[t] - offsets[t] - rows[t] . p``.  Updates are
-    preconditioned by the inverse mean-square design row.  The
+    ``rows`` are the ``(n, 3)`` parameter-gradient design rows of linear1
+    and ``offsets`` the right-hand side at zero parameters, one per
+    retained point; the structure is linear in its parameters, so the
+    residual of point ``t`` is ``targets[t] - offsets[t] - rows[t] . p``.
+    Updates are preconditioned by the inverse mean-square design row.  The
     preconditioner is constant, so the fixed point is still the unweighted
     least-squares solution; it only makes the step size independent of
     channel units.
+
+    The per-point loop is straight-line float code over one 7-float row
+    per point, ``(target - offset, f0, f1, f2, g0, g1, g2)`` with
+    ``g = f * pre``.  It keeps the operation order of a generic loop over
+    the parameters, so every iterate equals that loop's bit for bit
+    (``tests/test_ode.py`` keeps it as the reference).  The Polyak tail
+    average accumulates in epoch order.  The loss of each epoch's iterate
+    is checked after the loop, in blocks of ``_LOSS_CHUNK`` epochs whose
+    row means equal the per-epoch ``np.mean`` bit for bit.
+
+    Raises
+    ------
+    UnidentifiableError
+        If any epoch's mean squared residual is not finite.
     """
-    n, n_params = rows.shape
+    n = rows.shape[0]
     pre = 1.0 / np.maximum(np.mean(rows * rows, axis=0), 1e-300)
+    y_off = targets - offsets
     # plain-float rows (tolist, not tuple(row), which boxes numpy scalars):
     # the per-point loop is an order of magnitude faster on Python floats
-    feat_rows = rows.tolist()
-    pf_rows = (rows * pre).tolist()
-    y_off = (targets - offsets).tolist()
-    p_work = [0.0] * n_params
-    k_range = range(n_params)
+    data = np.column_stack([y_off, rows, rows * pre]).tolist()
 
     order = np.arange(n)
-    warmup = int(config.warmup_fraction * config.epochs)
-    avg_start = int((1.0 - config.average_fraction) * config.epochs)
-    p = np.zeros(n_params)
-    acc = np.zeros(n_params)
-    n_acc = 0
+    epochs = config.epochs
+    warmup = int(config.warmup_fraction * epochs)
+    avg_start = int((1.0 - config.average_fraction) * epochs)
     lr0 = config.learning_rate
-    for epoch in range(config.epochs):
+    iterates = np.empty((epochs, 3))
+    p0 = p1 = p2 = 0.0
+    a0 = a1 = a2 = 0.0
+    for epoch in range(epochs):
         lr = lr0 if epoch < warmup else lr0 / (1.0 + config.lr_decay * (epoch - warmup))
         two_lr = 2.0 * lr
         rng.shuffle(order)
         for t in order.tolist():
-            f = feat_rows[t]
-            r = y_off[t]
-            for j in k_range:
-                r -= f[j] * p_work[j]
-            c = two_lr * r
-            pf = pf_rows[t]
-            for j in k_range:
-                p_work[j] += c * pf[j]
-        p = np.array(p_work)
-        resid = targets - offsets - rows @ p
-        loss = float(np.mean(resid * resid))
-        if not math.isfinite(loss):
-            raise UnidentifiableError("gradient regression diverged")
+            r, f0, f1, f2, g0, g1, g2 = data[t]
+            c = two_lr * (r - f0 * p0 - f1 * p1 - f2 * p2)
+            p0 += c * g0
+            p1 += c * g1
+            p2 += c * g2
+        iterates[epoch] = p0, p1, p2
         if epoch >= avg_start:
-            acc += p
-            n_acc += 1
-    return acc / n_acc if n_acc else p
+            a0 += p0
+            a1 += p1
+            a2 += p2
+
+    # one gemv per epoch, as ``rows @ p`` makes, stacked over a block; the
+    # residuals are squared in place, so a block holds one temporary
+    for start in range(0, epochs, _LOSS_CHUNK):
+        block = iterates[start:start + _LOSS_CHUNK, :, np.newaxis]
+        resid = (rows @ block)[..., 0]
+        np.subtract(y_off, resid, out=resid)
+        resid *= resid
+        if not np.all(np.isfinite(np.mean(resid, axis=1))):
+            raise UnidentifiableError("gradient regression diverged")
+    n_acc = epochs - avg_start
+    return np.array([a0, a1, a2]) / n_acc if n_acc else iterates[-1].copy()
 
 
 def _retained_indices(smoothed, dt, q, max_order):
@@ -431,13 +454,17 @@ def fit_gradient_sgd(pair, structure, drop_fractions, config=None):
     Raises
     ------
     ValueError
-        On a fraction outside [0, 0.5] or fewer than ``min_points``
-        retained samples.
+        On a structure without 3 parameters, a fraction outside [0, 0.5]
+        or fewer than ``min_points`` retained samples.
     UnidentifiableError
         If the regression design is rank-deficient (e.g. constant control
-        with the state held at equilibrium).
+        with the state held at equilibrium), or the SGD diverges.
     """
     config = config or FitConfig()
+    if structure.param_count != 3:
+        raise ValueError(
+            "the gradient stage fits 3-parameter structures; "
+            f"{structure.id} has {structure.param_count}")
     n = len(pair)
     for q in drop_fractions:
         if not (0.0 <= q <= 0.5):

@@ -87,6 +87,18 @@ class GaussianScorer:
         return self._chol
 
 
+def check_ridge(ridge):
+    """Raise ValueError unless the covariance ridge is finite and >= 0."""
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
+
+
+def check_beta(beta):
+    """Raise ValueError unless the F-score weight is finite and > 0."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
+
+
 def fit_gaussian(mat, ridge=1e-6):
     """Maximum-likelihood Gaussian over the rows of an error-vector array.
 
@@ -95,8 +107,7 @@ def fit_gaussian(mat, ridge=1e-6):
     vectors; positive definiteness is verified eagerly so degenerate fits
     fail here, not at scoring time.
     """
-    if not (math.isfinite(ridge) and ridge >= 0):
-        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
+    check_ridge(ridge)
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 2:
         raise ValueError("need at least two error vectors")
@@ -148,8 +159,7 @@ def select_threshold(scores, labels, beta=1.0):
 
     Raises :class:`DegenerateLabelsError` when labels are single-class.
     """
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
+    check_beta(beta)
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape or scores.ndim != 1:

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from odeaug.augment import (AugmentationPlan, FittedPair, fitted_pair_from_dict,
-                            fitted_pair_to_dict, generate_series_pair,
+from odeaug.augment import (AugmentationPlan, FittedPair, generate_series_pair,
                             generate_with_record)
 from odeaug.control import PairFeatures, build_profile, segment_control
 from odeaug.ode import LINEAR1, OdeParams
@@ -111,16 +110,3 @@ class TestPlanValidation:
                 profile=plan.profile, fitted=[], count=1, length=10, seed=0,
                 sample_period=0.1,
             )
-
-
-class TestFittedPairDocument:
-    def test_round_trip(self):
-        pair = FittedPair(
-            PairFeatures(30, 30, 0.9, 0.2), OdeParams.single((2, 0.5, 0.1), 100), 1.5
-        )
-        doc = fitted_pair_to_dict(pair, LINEAR1, rmse=0.01, sample_period=0.1)
-        back, structure = fitted_pair_from_dict(doc)
-        assert structure.id == "linear1"
-        assert back.initial_value == 1.5
-        assert back.features == pair.features
-        assert back.params.windows == pair.params.windows

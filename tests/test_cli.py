@@ -233,6 +233,32 @@ class TestPipelineHandoff:
         assert "beta" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("flag, value, word", [("--beta", "nan", "beta"),
+                                                   ("--ridge", "-1", "ridge")])
+    def test_threshold_checks_arguments_before_any_work(
+            self, artifacts, data_dir, tmp_path, monkeypatch, capsys,
+            flag, value, word):
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("predict_many", "score_many"):
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        out = tmp_path / "scorer.json"
+        assert run(
+            "threshold", "--net", artifacts["net"],
+            "--normal", os.path.join(data_dir, "val_normal"),
+            "--labeled", os.path.join(data_dir, "val_anomalous"),
+            flag, value, "--out", str(out),
+        ) == 1
+        assert word in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        assert calls == []
+
     def test_synth_control_with_nan_threshold_exits_1(self, data_dir, tmp_path,
                                                       capsys):
         out = tmp_path / "profile.json"

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from odeaug.control import (AUTO, PairFeatures, State, build_profile,
-                            pair_features, profile_from_dict, profile_to_dict,
-                            sample_control, sample_segments, segment_control,
-                            select_donor)
+                            pair_features, sample_control, sample_segments,
+                            segment_control, select_donor)
 from odeaug.series import TimeSeries
 
 
@@ -138,19 +137,6 @@ class TestBuildProfile:
         profile = build_profile([seg])
         assert profile.single_state is State.LOW
         assert profile.duration_hists[State.HIGH] is None
-
-    def test_json_round_trip(self):
-        y = [0.1, 0.1, 0.9, 0.9, 0.1, 0.1, 0.9, 0.9]
-        profile = build_profile(
-            [segment_control(series_of(y), "u", 0.5, min_duration=2)]
-        )
-        back = profile_from_dict(profile_to_dict(profile))
-        for st in State:
-            assert np.array_equal(back.duration_hists[st].edges,
-                                  profile.duration_hists[st].edges)
-            assert np.array_equal(back.level_hists[st].counts,
-                                  profile.level_hists[st].counts)
-        assert back.start_state_counts == profile.start_state_counts
 
 
 class TestSampleControl:

@@ -20,7 +20,8 @@ from odeaug.lstm import (PredictorConfig, init_network, network_from_dict,
                          network_to_dict)
 from odeaug.ode import (LINEAR1, FitConfig, OdeParams, PsoConfig, SgdConfig,
                         params_from_dict, params_to_dict)
-from odeaug.scoring import fit_gaussian, scorer_from_dict, scorer_to_dict
+from odeaug.scoring import (fit_gaussian, log_likelihood, scorer_from_dict,
+                            scorer_to_dict)
 from odeaug.series import TimeSeries, read_csv, write_csv
 
 
@@ -70,17 +71,21 @@ def two_state_series(rng, n=300):
 
 def ode_model(rng, tmp_path):
     params = random_windows(rng)
-    structure, back = params_from_dict(through_json(params_to_dict(LINEAR1, params)))
+    doc = through_json(params_to_dict(LINEAR1, params, rmse=0.5))
+    structure, back = params_from_dict(doc)
     assert structure is LINEAR1
+    assert doc["rmse"] == 0.5
     assert_same(params, back)
 
 
 def fitted_pair(rng, tmp_path):
     pair = FittedPair(PairFeatures(*(float(v) for v in rng.uniform(1, 50, 4))),
                       random_windows(rng), float(rng.normal()))
-    back, structure = fitted_pair_from_dict(
-        through_json(fitted_pair_to_dict(pair, LINEAR1, rmse=0.5)))
+    doc = through_json(
+        fitted_pair_to_dict(pair, LINEAR1, rmse=0.5, sample_period=0.1))
+    back, structure = fitted_pair_from_dict(doc)
     assert structure is LINEAR1
+    assert (doc["rmse"], doc["sample_period"]) == (0.5, 0.1)
     assert_same(pair, back)
 
 
@@ -111,7 +116,10 @@ def network(rng, tmp_path):
 def scorer(rng, tmp_path):
     fitted = fit_gaussian(rng.normal(size=(50, 4)), ridge=float(rng.uniform(0, 1e-3)))
     fitted.threshold = float(rng.normal())
-    assert_same(fitted, scorer_from_dict(through_json(scorer_to_dict(fitted))))
+    back = scorer_from_dict(through_json(scorer_to_dict(fitted)))
+    assert_same(fitted, back)
+    e = rng.normal(size=4)
+    assert log_likelihood(back, e) == log_likelihood(fitted, e)
 
 
 def benchmark_config(rng, tmp_path):
@@ -135,6 +143,22 @@ def benchmark_config(rng, tmp_path):
     assert_same(config, config_from_dict(through_json(config_to_dict(config))))
 
 
+def list_valued_config(rng, tmp_path):
+    # built with lists where the fields hold tuples: the dataclasses
+    # normalise them, so the config equals itself after a round trip
+    config = BenchmarkConfig(
+        base_params=[2.0, 0.3, float(rng.uniform(0, 0.2))],
+        duration_range=[20, int(rng.integers(30, 80))],
+        low_level_range=[0.1, 0.3], high_level_range=[0.7, 1.0],
+        anomaly_kinds=["zero", "wrong_state"],
+        lstm=LstmSettings(layer_sizes=[8, int(rng.integers(1, 8))]),
+        fit=FitConfig(drop_fractions=[0.1, float(rng.uniform(0, 0.5))]),
+    )
+    back = config_from_dict(through_json(config_to_dict(config)))
+    assert back == config
+    assert_same(config, back)
+
+
 def csv_series(rng, tmp_path):
     n = int(rng.integers(2, 60))
     series = TimeSeries(["u", "x", "y"], float(rng.choice([0.1, 0.25, 0.05])),
@@ -146,7 +170,7 @@ def csv_series(rng, tmp_path):
 
 
 KINDS = [ode_model, fitted_pair, control_profile, network, scorer,
-         benchmark_config, csv_series]
+         benchmark_config, csv_series, list_valued_config]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -11,7 +11,7 @@ from odeaug.lstm import (PredictorConfig, init_network,
                          loss_and_gradients, make_targets, network_from_dict,
                          network_to_dict, predict, predict_many, train,
                          train_many)
-from odeaug.lstm import _forward, _zero_state
+from odeaug.lstm import _forward, _sigmoid, _zero_state
 from odeaug.series import TimeSeries
 
 
@@ -88,6 +88,38 @@ class TestGradients:
         p[0, 0] = orig
         fd = (lp - lm) / (2 * step)
         assert abs(g[0, 0] - fd) / max(abs(fd), 1e-8) < 1e-4
+
+
+def two_branch_sigmoid(z):
+    """The logistic function evaluated on each sign half separately."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    def test_matches_two_branch_form_bit_for_bit(self):
+        tiny, sub = np.finfo(float).tiny, 5e-324
+        special = np.array([
+            0.0, -0.0, 700.0, -700.0, 800.0, -800.0, sub, -sub, tiny / 2,
+            -tiny / 2, tiny, -tiny, math.inf, -math.inf, math.nan, -math.nan,
+            709.8, 710.0, -745.1, -745.2, 36.9, -36.9,
+        ])
+        rng = np.random.default_rng(11)
+        for z in (np.concatenate([special, rng.normal(scale=20.0, size=4000)]),
+                  rng.normal(scale=3.0, size=(5, 8, 64))):
+            got, want = _sigmoid(z), two_branch_sigmoid(z)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            # the uint64 views compare every bit, the sign of 0.0 and NaN too
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        out = _sigmoid(special)
+        assert np.array_equal(np.signbit(out), np.signbit(two_branch_sigmoid(special)))
+        assert out[0] == out[1] == 0.5
+        assert out[4] == 1.0 and out[5] == 0.0
+        assert np.isnan(out[14]) and not np.signbit(out[14]) and np.signbit(out[15])
 
 
 class TestSinglePath:

@@ -7,11 +7,12 @@ import pytest
 
 from odeaug.errors import (DivergenceError, RefinementFailedError,
                            UnidentifiableError)
-from odeaug.ode import (LINEAR1, FitConfig, OdeParams, PsoConfig, SeriesPair,
-                        SgdConfig, fit, fit_gradient_sgd, integrate,
+from odeaug.ode import (LINEAR1, FitConfig, OdeParams, OdeStructure, PsoConfig,
+                        SeriesPair, SgdConfig, fit, fit_gradient_sgd, integrate,
                         integration_rmse, params_from_dict, params_to_dict,
                         refine_pso, stability_notes, _candidate_box,
-                        _divergence_bound, _retained_indices, _seed_entropy)
+                        _divergence_bound, _retained_indices, _seed_entropy,
+                        _sgd_minimize)
 from odeaug.series import derivative, moving_average
 
 
@@ -57,14 +58,6 @@ class TestOdeParams:
         notes = stability_notes(LINEAR1, p)
         assert len(notes) == 1 and "decay" in notes[0]
         assert stability_notes(LINEAR1, OdeParams.single((1, 1, 0), 10)) == []
-
-    def test_round_trip_serialization(self):
-        p = OdeParams([(0, 5, (1.5, 0.8, 0.2)), (5, 9, (1.0, 0.7, 0.1))])
-        doc = params_to_dict(LINEAR1, p, rmse=0.5)
-        structure, back = params_from_dict(doc)
-        assert structure.id == "linear1"
-        assert back.windows == p.windows
-        assert doc["rmse"] == 0.5
 
 
 class TestIntegrate:
@@ -187,6 +180,19 @@ class TestFitGradientSgd:
         pair = two_level_pair((1.5, 0.8, 0.2), n=40)
         with pytest.raises(ValueError, match="retained"):
             fit_gradient_sgd(pair, LINEAR1, (0.5,), FitConfig())
+
+    def test_huge_learning_rate_diverges(self):
+        pair = two_level_pair((1.5, 0.8, 0.2))
+        config = FitConfig(sgd=SgdConfig(learning_rate=1e3, epochs=100))
+        with pytest.raises(UnidentifiableError, match="diverged"):
+            fit_gradient_sgd(pair, LINEAR1, (0.1,), config)
+
+    @pytest.mark.parametrize("param_count", [2, 4])
+    def test_structure_without_three_parameters_rejected(self, param_count):
+        structure = OdeStructure("other", LINEAR1.rhs, param_count)
+        pair = two_level_pair((1.5, 0.8, 0.2))
+        with pytest.raises(ValueError, match="3-parameter"):
+            fit_gradient_sgd(pair, structure, (0.1,), FitConfig())
 
 
 class TestRefinePso:
@@ -428,3 +434,93 @@ class TestSwarm:
         assert params == ref_params
         assert rmse == ref_rmse
         assert (diverged > 0) == some_diverge
+
+
+def reference_sgd(targets, rows, offsets, config, rng):
+    """The gradient-stage SGD as a generic loop over ``k`` parameters, with
+    the loss checked after every epoch."""
+    n, n_params = rows.shape
+    pre = 1.0 / np.maximum(np.mean(rows * rows, axis=0), 1e-300)
+    feat_rows = rows.tolist()
+    pf_rows = (rows * pre).tolist()
+    y_off = (targets - offsets).tolist()
+    p_work = [0.0] * n_params
+    order = np.arange(n)
+    warmup = int(config.warmup_fraction * config.epochs)
+    avg_start = int((1.0 - config.average_fraction) * config.epochs)
+    p = np.zeros(n_params)
+    acc = np.zeros(n_params)
+    n_acc = 0
+    for epoch in range(config.epochs):
+        lr = (config.learning_rate if epoch < warmup else
+              config.learning_rate / (1.0 + config.lr_decay * (epoch - warmup)))
+        two_lr = 2.0 * lr
+        rng.shuffle(order)
+        for t in order.tolist():
+            f = feat_rows[t]
+            r = y_off[t]
+            for j in range(n_params):
+                r -= f[j] * p_work[j]
+            c = two_lr * r
+            pf = pf_rows[t]
+            for j in range(n_params):
+                p_work[j] += c * pf[j]
+        p = np.array(p_work)
+        resid = targets - offsets - rows @ p
+        if not math.isfinite(float(np.mean(resid * resid))):
+            raise UnidentifiableError("gradient regression diverged")
+        if epoch >= avg_start:
+            acc += p
+            n_acc += 1
+    return acc / n_acc if n_acc else p
+
+
+def sgd_design(pair, q, config):
+    """``(targets, rows, offsets)`` as ``fit_gradient_sgd`` builds them."""
+    smoothed = moving_average(pair.dependent, config.smooth_window)
+    targets = derivative(smoothed, pair.sample_period, 1)
+    keep = _retained_indices(smoothed, pair.sample_period, q,
+                             config.curvature_max_order)
+    xs, us = smoothed[keep], pair.control[keep]
+    offsets = LINEAR1.rhs(np.zeros(3), xs, us)
+    rows = np.column_stack([LINEAR1.rhs(e_j, xs, us) - offsets
+                            for e_j in np.eye(3)])
+    return targets[keep], rows, offsets
+
+
+class TestSgdFastPath:
+    """The unrolled linear1 SGD against the generic loop, bit for bit."""
+
+    @pytest.mark.parametrize("q, seed, sgd", [
+        (0.0, 1, SgdConfig(epochs=40)),
+        (0.05, 2, SgdConfig(epochs=75)),    # several loss-check blocks
+        (0.2, 3, SgdConfig(epochs=30, average_fraction=0.0)),
+        (0.1, 4, SgdConfig(epochs=25, warmup_fraction=0.0)),
+        (0.5, 5, SgdConfig(epochs=25, warmup_fraction=1.0,
+                           average_fraction=1.0)),
+        (0.1, 6, SgdConfig(epochs=1)),
+        (0.2, 7, SgdConfig(epochs=1, average_fraction=0.0,
+                           learning_rate=0.3, lr_decay=2.0)),
+    ])
+    def test_matches_generic_loop(self, q, seed, sgd):
+        pair = two_level_pair((1.5, 0.8, 0.2), noise=0.02, seed=seed)
+        design = sgd_design(pair, q, FitConfig())
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        p = _sgd_minimize(*design, sgd, rng)
+        ref = reference_sgd(*design, sgd, ref_rng)
+        assert p.dtype == ref.dtype and p.tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_divergence_in_a_late_epoch_is_found(self):
+        # at this rate the generic loop first sees a non-finite loss in
+        # epoch 68, several blocks into the deferred check
+        pair = two_level_pair((1.5, 0.8, 0.2), noise=0.02, seed=2)
+        design = sgd_design(pair, 0.1, FitConfig())
+        before = SgdConfig(learning_rate=0.33, epochs=67, warmup_fraction=1.0)
+        p = _sgd_minimize(*design, before, np.random.default_rng(0))
+        ref = reference_sgd(*design, before, np.random.default_rng(0))
+        assert p.tobytes() == ref.tobytes()
+        after = SgdConfig(learning_rate=0.33, epochs=80, warmup_fraction=1.0)
+        for solver in (_sgd_minimize, reference_sgd):
+            with pytest.raises(UnidentifiableError, match="diverged"):
+                solver(*design, after, np.random.default_rng(0))

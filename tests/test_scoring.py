@@ -325,20 +325,6 @@ class TestDetect:
 
 
 class TestScorerSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(5)
-        mat = rng.normal(size=(40, 4))
-        scorer = fit_gaussian(mat)
-        scorer.threshold = -3.25
-        back = scorer_from_dict(scorer_to_dict(scorer))
-        assert np.allclose(back.mean, scorer.mean, atol=1e-15)
-        assert np.allclose(back.covariance, scorer.covariance, atol=1e-15)
-        assert back.threshold == scorer.threshold
-        e = rng.normal(size=4)
-        assert log_likelihood(back, e) == pytest.approx(
-            log_likelihood(scorer, e), abs=1e-12
-        )
-
     @pytest.mark.parametrize("key, value", [
         ("mean", [math.nan, 0.0]),
         ("covariance", [[1.0, 0.0], [0.0, math.inf]]),

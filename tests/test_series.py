@@ -176,20 +176,6 @@ class TestCurvatureScore:
 
 
 class TestCsvRoundTrip:
-    def test_round_trip_preserves_everything(self, tmp_path):
-        rng = np.random.default_rng(1)
-        labels = np.zeros(20, dtype=bool)
-        labels[4:7] = True
-        ts = make_series(rng.normal(size=(20, 2)), dt=0.25, names=["u", "x"],
-                         labels=labels)
-        path = tmp_path / "series.csv"
-        write_csv(ts, path)
-        back = read_csv(path)
-        assert back.channel_names == ["u", "x"]
-        assert back.sample_period == pytest.approx(0.25)
-        assert np.array_equal(back.values, ts.values)
-        assert np.array_equal(back.labels, ts.labels)
-
     def test_write_is_deterministic(self, tmp_path):
         ts = make_series(np.linspace(0, 1, 9), names=["x"])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
