@@ -15,6 +15,7 @@ import numpy as np
 from .anomalies import AnomalyKind, AnomalySpec, inject
 from .control import AUTO, segment_control
 from .errors import PlacementError
+from .lstm import PredictorConfig
 from .ode import (LINEAR1, FitConfig, OdeParams, PsoConfig, SgdConfig,
                   integrate)
 from .series import TimeSeries
@@ -33,7 +34,8 @@ def _as_kind(k):
 
 @dataclass
 class LstmSettings:
-    """Predictor hyperparameters used by the experiment harness."""
+    """Predictor hyperparameters used by the experiment harness; rejects
+    what :class:`PredictorConfig` rejects."""
 
     layer_sizes: tuple = (16,)
     prediction_length: int = 3
@@ -46,6 +48,14 @@ class LstmSettings:
 
     def __post_init__(self):
         self.layer_sizes = tuple(self.layer_sizes)
+        self.predictor_config(0)
+
+    def predictor_config(self, seed):
+        """The predictor these settings give on the benchmark channels."""
+        return PredictorConfig(
+            input_channels=(CONTROL_CHANNEL, RESPONSE_CHANNEL),
+            predicted_channels=(RESPONSE_CHANNEL,), seed=seed, **asdict(self),
+        )
 
 
 @dataclass

@@ -12,8 +12,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .anomalies import AnomalyKind, AnomalySpec, inject
 from .augment import (AugmentationPlan, fitted_pair_from_dict,
@@ -21,28 +19,20 @@ from .augment import (AugmentationPlan, fitted_pair_from_dict,
 from .benchmark import config_from_dict, config_to_dict, gen_benchmark
 from .control import (AUTO, build_profile, pair_features, profile_from_dict,
                       profile_to_dict, segment_control)
-from .errors import CsvFormatError, DegenerateLabelsError, DivergenceError, \
-    GenerationError, PlacementError, RefinementFailedError, \
-    TrainingDivergedError, UnidentifiableError
-from .experiment import (REGIMES, augmentation_curve, curve_to_csv_text,
-                         run_experiment)
-# ``predict`` and ``score_series`` are not called here; perfbench/tracing.py
-# wraps them by this module's name.
+from .experiment import (REGIMES, augmentation_curve, calibrate_scorer,
+                         curve_to_csv_text, detection_metrics, run_experiment)
+# ``predict``, ``score_series``, ``error_vectors`` and ``select_threshold``
+# are not called here; perfbench/tracing.py wraps them by this module's name.
 from .lstm import (PredictorConfig, network_from_dict,  # noqa: F401
-                   network_to_dict, predict, predict_many, train)
-from .metrics import MetricsReport, RegimeRow, prf_metrics
+                   network_to_dict, predict, train)
+from .metrics import MetricsReport, RegimeRow
 from .ode import LINEAR1, SeriesPair, fit, get_structure
-from .scoring import (check_beta, check_ridge, error_vectors,  # noqa: F401
-                      fit_gaussian, score_many, score_series,
+from .scoring import (error_vectors, score_many, score_series,  # noqa: F401
                       scorer_from_dict, scorer_to_dict, select_threshold)
 from .series import read_csv, read_csv_dir, write_csv
 
-_RUNTIME_ERRORS = (
-    ValueError, TypeError, OSError, KeyError, CsvFormatError,
-    DivergenceError, UnidentifiableError, RefinementFailedError,
-    PlacementError, GenerationError, TrainingDivergedError,
-    DegenerateLabelsError, RuntimeError,
-)
+# every exception class in ``errors`` derives from one of these
+_RUNTIME_ERRORS = (ValueError, TypeError, OSError, KeyError, RuntimeError)
 
 
 def _sha256(path):
@@ -104,10 +94,8 @@ def _write_manifest(command, out_dir_or_file, seed, config_echo, inputs,
                     extra=None):
     if os.path.isdir(out_dir_or_file):
         manifest_path = os.path.join(out_dir_or_file, "manifest.json")
-        scope = out_dir_or_file
     else:
         manifest_path = out_dir_or_file + ".manifest.json"
-        scope = out_dir_or_file
     doc = {
         "version": 1,
         "tool": f"odeaug {__version__}",
@@ -115,7 +103,7 @@ def _write_manifest(command, out_dir_or_file, seed, config_echo, inputs,
         "seed": seed,
         "config": config_echo,
         "inputs": {p: _digest_tree(p) for p in inputs},
-        "outputs": _digest_tree(scope),
+        "outputs": _digest_tree(out_dir_or_file),
     }
     if extra:
         doc.update(extra)
@@ -128,14 +116,30 @@ def _load_series_any(path):
     return [read_csv(path)]
 
 
+def _benchmark_config(args):
+    """The benchmark config of ``--config`` with ``--seed`` applied, and
+    the manifest's input list."""
+    config_doc = _read_json(args.config) if args.config else {}
+    if args.seed is not None:
+        config_doc["seed"] = args.seed
+    return config_from_dict(config_doc), [args.config] if args.config else []
+
+
+def _load_detector(args):
+    """The network, its config and the thresholded scorer of ``--net``
+    and ``--scorer``."""
+    net, config = network_from_dict(_read_json(args.net))
+    scorer = scorer_from_dict(_read_json(args.scorer))
+    if scorer.threshold is None:
+        raise ValueError("scorer has no threshold; run the threshold command")
+    return net, config, scorer
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_gen_data(args):
-    config_doc = _read_json(args.config) if args.config else {}
-    if args.seed is not None:
-        config_doc["seed"] = args.seed
-    config = config_from_dict(config_doc)
+    config, inputs = _benchmark_config(args)
     _ensure_out_dir(args.out, args.force)
     bench = gen_benchmark(config)
     for name in ("large", "small", "val_normal", "val_anomalous", "test"):
@@ -143,10 +147,8 @@ def cmd_gen_data(args):
         os.makedirs(sub, exist_ok=True)
         for i, series in enumerate(getattr(bench, name)):
             write_csv(series, os.path.join(sub, f"series_{i:03d}.csv"))
-    _write_manifest(
-        "gen-data", args.out, config.seed, config_to_dict(config),
-        [args.config] if args.config else [],
-    )
+    _write_manifest("gen-data", args.out, config.seed, config_to_dict(config),
+                    inputs)
     return 0
 
 
@@ -158,14 +160,13 @@ def cmd_fit_ode(args):
     if args.pso:
         fit_doc["use_pso"] = True
     config = config_from_dict({"fit": fit_doc}).fit
-    structure = get_structure(args.structure)
     pair = SeriesPair.from_series(series, args.control, args.dependent)
-    report = fit(pair, structure, config)
+    report = fit(pair, LINEAR1, config)
     seg = segment_control(series, args.control, AUTO, min_duration=2)
     _ensure_out_file(args.out, args.force)
     doc = fitted_pair_to_dict(
         FittedPair(pair_features(seg), report.params, float(pair.dependent[0])),
-        structure,
+        LINEAR1,
         rmse=report.rmse,
         dropped_fraction=report.dropped_fraction,
         pso_used=report.pso_used,
@@ -177,7 +178,7 @@ def cmd_fit_ode(args):
     _write_json(args.out, doc)
     _write_manifest(
         "fit-ode", args.out, config.seed,
-        {"fit": fit_doc, "structure": args.structure},
+        {"fit": fit_doc, "structure": LINEAR1.id},
         [args.data] + ([args.config] if args.config else []),
     )
     return 0
@@ -281,13 +282,13 @@ def cmd_inject(args):
 
 def _duration_arg(text):
     value = float(text)
-    if value != int(value) or value < 1:
-        if 0 < value < 1:
-            return value
-        raise argparse.ArgumentTypeError(
-            "duration must be a positive integer or a fraction in (0,1)"
-        )
-    return int(value)
+    if 0 < value < 1:
+        return value
+    if value >= 1 and value.is_integer():
+        return int(value)
+    raise argparse.ArgumentTypeError(
+        "duration must be a positive integer or a fraction in (0,1)"
+    )
 
 
 def cmd_train(args):
@@ -320,23 +321,11 @@ def cmd_train(args):
 
 
 def cmd_threshold(args):
-    # every argument and input is checked before any series is predicted
-    check_ridge(args.ridge)
-    check_beta(args.beta)
     net, config = network_from_dict(_read_json(args.net))
-    normal = _load_series_any(args.normal)
-    labeled = _load_series_any(args.labeled)
-    if any(series.labels is None for series in labeled):
-        raise ValueError("threshold selection needs labeled series")
-    pooled = [error_vectors(preds, series, config) for series, preds
-              in zip(normal, predict_many(net, config, normal))]
-    scorer = fit_gaussian(np.concatenate(pooled), ridge=args.ridge)
-    scores = score_many(net, config, scorer, labeled)
-    tau, achieved = select_threshold(
-        np.concatenate(scores),
-        np.concatenate([series.labels for series in labeled]), beta=args.beta
+    scorer, achieved = calibrate_scorer(
+        net, config, _load_series_any(args.normal),
+        _load_series_any(args.labeled), args.ridge, args.beta,
     )
-    scorer.threshold = tau
     _ensure_out_file(args.out, args.force)
     _write_json(args.out, scorer_to_dict(scorer))
     _write_manifest(
@@ -348,10 +337,7 @@ def cmd_threshold(args):
 
 
 def cmd_detect(args):
-    net, config = network_from_dict(_read_json(args.net))
-    scorer = scorer_from_dict(_read_json(args.scorer))
-    if scorer.threshold is None:
-        raise ValueError("scorer has no threshold; run the threshold command")
+    net, config, scorer = _load_detector(args)
     if os.path.isdir(args.data):
         names = sorted(f for f in os.listdir(args.data) if f.endswith(".csv"))
         paths = [os.path.join(args.data, f) for f in names]
@@ -375,51 +361,25 @@ def cmd_detect(args):
 
 
 def cmd_evaluate(args):
-    net, config = network_from_dict(_read_json(args.net))
-    scorer = scorer_from_dict(_read_json(args.scorer))
-    if scorer.threshold is None:
-        raise ValueError("scorer has no threshold; run the threshold command")
+    net, config, scorer = _load_detector(args)
     series_list = _load_series_any(args.data)
-    if any(series.labels is None for series in series_list):
-        raise ValueError("evaluation needs labeled series")
-    scores = score_many(net, config, scorer, series_list)
-    p, r, f = prf_metrics(np.concatenate(scores) < scorer.threshold,
-                          np.concatenate([s.labels for s in series_list]))
+    p, r, f = detection_metrics(net, config, scorer, series_list)
     n_points = sum(len(series) for series in series_list)
-    report = MetricsReport(
-        rows=[RegimeRow("eval", len(series_list), n_points, p, r, f)],
-        config={"data": args.data}, seed=0,
-    )
-    _emit_report(report, args)
+    report = MetricsReport([RegimeRow("eval", len(series_list), n_points, p, r, f)])
+    text = report.to_csv_text() if args.format == "csv" else report.to_table_text()
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    _ensure_out_file(args.out, args.force)
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    _write_manifest("evaluate", args.out, None, {"format": args.format},
+                    [args.net, args.scorer, args.data])
     return 0
 
 
-def _emit_report(report, args):
-    text = report.to_csv_text() if args.format == "csv" else report.to_table_text()
-    if args.out:
-        _ensure_out_file(args.out, args.force)
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        _write_manifest(args.command_name, args.out, getattr(args, "seed", None),
-                        {"format": args.format}, _report_inputs(args))
-    else:
-        sys.stdout.write(text)
-
-
-def _report_inputs(args):
-    inputs = []
-    for name in ("net", "scorer", "data", "config"):
-        value = getattr(args, name, None)
-        if value:
-            inputs.append(value)
-    return inputs
-
-
 def cmd_experiment(args):
-    config_doc = _read_json(args.config) if args.config else {}
-    if args.seed is not None:
-        config_doc["seed"] = args.seed
-    config = config_from_dict(config_doc)
+    config, inputs = _benchmark_config(args)
     regimes = args.regimes.split(",") if args.regimes else list(REGIMES)
     bench = gen_benchmark(config)
     report = run_experiment(bench, regimes)
@@ -428,18 +388,13 @@ def cmd_experiment(args):
         fh.write(report.to_csv_text())
     with open(os.path.join(args.out, "report.txt"), "w") as fh:
         fh.write(report.to_table_text())
-    _write_manifest(
-        "experiment", args.out, config.seed, config_to_dict(config),
-        [args.config] if args.config else [],
-    )
+    _write_manifest("experiment", args.out, config.seed,
+                    config_to_dict(config), inputs)
     return 0
 
 
 def cmd_curve(args):
-    config_doc = _read_json(args.config) if args.config else {}
-    if args.seed is not None:
-        config_doc["seed"] = args.seed
-    config = config_from_dict(config_doc)
+    config, inputs = _benchmark_config(args)
     fractions = [float(q) for q in args.fractions.split(",")]
     bench = gen_benchmark(config)
     curve = augmentation_curve(bench, fractions)
@@ -447,8 +402,7 @@ def cmd_curve(args):
     with open(os.path.join(args.out, "curve.csv"), "w") as fh:
         fh.write(curve_to_csv_text(curve))
     _write_manifest(
-        "curve", args.out, config.seed, config_to_dict(config),
-        [args.config] if args.config else [],
+        "curve", args.out, config.seed, config_to_dict(config), inputs,
         extra={"fractions": fractions},
     )
     return 0
@@ -480,7 +434,6 @@ def build_parser():
     p.add_argument("--data", required=True, help="input series CSV")
     p.add_argument("--control", required=True, help="control channel name")
     p.add_argument("--dependent", required=True, help="dependent channel name")
-    p.add_argument("--structure", default=LINEAR1.id)
     p.add_argument("--config", help="fit config JSON")
     p.add_argument("--seed", type=int)
     p.add_argument("--pso", action="store_true", help="enable swarm refinement")

@@ -88,13 +88,13 @@ AUTO = "auto"
 def segment_control(series, channel, threshold=AUTO, min_duration=2):
     """Split a control channel into alternating HIGH/LOW segments.
 
-    Values strictly above the threshold are HIGH.  Runs shorter than
-    ``min_duration`` are merged into their longer neighbour until none
-    remain.  ``threshold=AUTO`` places the cut midway between the two
-    centroids of a 1-D 2-means clustering of the values; when the
-    centroid gap collapses (effectively constant channel) the result is
-    a single segment flagged degenerate.  A numeric threshold must be
-    finite.
+    Values strictly above the threshold are HIGH.  While some run is
+    shorter than ``min_duration``, the shortest (the first of equals) is
+    merged with its neighbours into one run.  ``threshold=AUTO`` places
+    the cut midway between the two centroids of a 1-D 2-means clustering
+    of the values; when the centroid gap collapses (effectively constant
+    channel) the result is a single segment flagged degenerate.  A
+    numeric threshold must be finite.
     """
     y = series.channel(channel)
     n = y.shape[0]
@@ -104,7 +104,6 @@ def segment_control(series, channel, threshold=AUTO, min_duration=2):
     if n < 2 * min_duration:
         raise ValueError("series too short for the requested min_duration")
 
-    degenerate = False
     if threshold == AUTO:
         rng_width = float(np.max(y) - np.min(y))
         c0, c1 = _two_means(y)
@@ -117,41 +116,24 @@ def segment_control(series, channel, threshold=AUTO, min_duration=2):
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
 
+    # runs alternate, so a short run's neighbours share the other state and
+    # merging all three into one run keeps the runs alternating
     high = y > threshold
-    runs = []  # [state, start, length]
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or high[i] != high[start]:
-            runs.append([State.HIGH if high[start] else State.LOW, start, i - start])
-            start = i
-
-    def coalesce(rs):
-        out = []
-        for r in rs:
-            if out and out[-1][0] is r[0]:
-                out[-1][2] += r[2]
-            else:
-                out.append(list(r))
-        return out
-
-    runs = coalesce(runs)
+    bounds = [0, *(np.flatnonzero(np.diff(high)) + 1).tolist(), n]
+    runs = [[bool(high[s]), s, e - s] for s, e in zip(bounds, bounds[1:])]
     while len(runs) > 1:
-        short = [i for i, r in enumerate(runs) if r[2] < min_duration]
-        if not short:
+        lengths = [r[2] for r in runs]
+        idx = lengths.index(min(lengths))
+        if lengths[idx] >= min_duration:
             break
-        # merge the shortest offending run into its longer neighbour
-        idx = min(short, key=lambda i: (runs[i][2], i))
-        neighbours = [j for j in (idx - 1, idx + 1) if 0 <= j < len(runs)]
-        target = max(neighbours, key=lambda j: (runs[j][2], -j))
-        lo, hi = min(idx, target), max(idx, target)
-        runs[lo] = [runs[target][0], runs[lo][1], runs[lo][2] + runs[hi][2]]
-        del runs[hi]
-        runs = coalesce(runs)
+        lo, hi = max(idx - 1, 0), idx + 2
+        runs[lo:hi] = [[not runs[idx][0], runs[lo][1], sum(lengths[lo:hi])]]
 
     segments = [
-        Segment(state, s, d, float(np.mean(y[s:s + d]))) for state, s, d in runs
+        Segment(State.HIGH if h else State.LOW, s, d, float(np.mean(y[s:s + d])))
+        for h, s, d in runs
     ]
-    return StateSegmentation(segments, threshold=threshold, degenerate=degenerate)
+    return StateSegmentation(segments, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------

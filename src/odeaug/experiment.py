@@ -18,12 +18,12 @@ from .control import AUTO, build_profile, pair_features, segment_control
 from .errors import InvalidJobError, TrainingDivergedError
 # ``train``, ``predict`` and ``score_series`` are not called here;
 # perfbench/tracing.py wraps them by this module's name.
-from .lstm import (PredictorConfig, predict, predict_many,  # noqa: F401
-                   train, train_many)
+from .lstm import predict, predict_many, train, train_many  # noqa: F401
 from .metrics import MetricsReport, RegimeRow, prf_metrics
 from .ode import LINEAR1, SeriesPair, fit
-from .scoring import (error_vectors, fit_gaussian, score_many,  # noqa: F401
-                      score_series, select_threshold)
+from .scoring import (check_beta, check_ridge, error_vectors,  # noqa: F401
+                      fit_gaussian, score_many, score_series,
+                      select_threshold)
 
 REGIMES = ("L(r)", "S(r)", "ODE(s)", "S(r)+ODE(s)", "L(r)+ODE(s)")
 
@@ -91,30 +91,14 @@ def _apply_sensor_noise(benchmark, series, k):
         RESPONSE_CHANNEL, clean + rng.normal(0.0, std, clean.shape[0]))
 
 
-def _predictor_config(benchmark):
-    s = benchmark.config.lstm
-    return PredictorConfig(
-        input_channels=(CONTROL_CHANNEL, RESPONSE_CHANNEL),
-        predicted_channels=(RESPONSE_CHANNEL,),
-        layer_sizes=s.layer_sizes,
-        prediction_length=s.prediction_length,
-        learning_rate=s.learning_rate,
-        epochs=s.epochs,
-        clip_norm=s.clip_norm,
-        tbptt_length=s.tbptt_length,
-        series_batch_size=s.series_batch_size,
-        patience=s.patience,
-        seed=_derive_seed(benchmark.config.seed, _TRAIN_TAG),
-    )
-
-
 def _train_networks(benchmark, labels, train_sets):
     """Train one network per training set in one stacked pass.
 
     Returns [(network, config), ...].  A job that fails is re-raised with
     its label attached.
     """
-    configs = [_predictor_config(benchmark) for _ in labels]
+    seed = _derive_seed(benchmark.config.seed, _TRAIN_TAG)
+    configs = [benchmark.config.lstm.predictor_config(seed) for _ in labels]
     jobs = [(list(train_series), config, benchmark.val_normal)
             for train_series, config in zip(train_sets, configs)]
     try:
@@ -124,29 +108,51 @@ def _train_networks(benchmark, labels, train_sets):
     return [(net, config) for (net, _), config in zip(trained, configs)]
 
 
-def evaluate_network(net, config, benchmark):
-    """Fit the scorer, pick the threshold, and score the test set.
+def calibrate_scorer(net, config, normal, labeled, ridge, beta):
+    """Fit the Gaussian scorer and pick its decision threshold.
 
-    Returns (precision, recall, f_score) on the pooled point-wise test
-    masks.  Pure function of (network, benchmark): the validation sets and
-    the test set are fixed by the benchmark.  Each set is predicted or
-    scored in one call.
+    The scorer is fitted to the network's error vectors on the ``normal``
+    series; the threshold is the one that maximises F-beta on the
+    ``labeled`` series.  Returns (scorer with its threshold set, achieved
+    F-beta).  ``ridge``, ``beta`` and the labels are checked before any
+    series is predicted.
     """
-    normal = benchmark.val_normal
+    check_ridge(ridge)
+    check_beta(beta)
+    if any(series.labels is None for series in labeled):
+        raise ValueError("threshold selection needs labeled series")
     pooled = [error_vectors(preds, series, config) for series, preds
               in zip(normal, predict_many(net, config, normal))]
-    scorer = fit_gaussian(np.concatenate(pooled), ridge=benchmark.config.ridge)
-
-    labeled = benchmark.val_anomalous
-    tau, _ = select_threshold(
+    scorer = fit_gaussian(np.concatenate(pooled), ridge=ridge)
+    scorer.threshold, achieved = select_threshold(
         np.concatenate(score_many(net, config, scorer, labeled)),
-        np.concatenate([series.labels for series in labeled]),
-        beta=benchmark.config.threshold_beta,
+        np.concatenate([series.labels for series in labeled]), beta=beta,
     )
-    test = benchmark.test
-    scores = score_many(net, config, scorer, test)
-    return prf_metrics(np.concatenate(scores) < tau,
-                       np.concatenate([series.labels for series in test]))
+    return scorer, achieved
+
+
+def detection_metrics(net, config, scorer, labeled):
+    """Point-wise (precision, recall, F) of the scorer's flags, pooled
+    over the ``labeled`` series; the labels are checked before any series
+    is scored."""
+    if any(series.labels is None for series in labeled):
+        raise ValueError("evaluation needs labeled series")
+    scores = score_many(net, config, scorer, labeled)
+    return prf_metrics(np.concatenate(scores) < scorer.threshold,
+                       np.concatenate([series.labels for series in labeled]))
+
+
+def evaluate_network(net, config, benchmark):
+    """Calibrate the detector on the validation sets and score the test set.
+
+    Returns (precision, recall, f_score) on the pooled point-wise test
+    masks.  Pure function of (network, benchmark).
+    """
+    scorer, _ = calibrate_scorer(
+        net, config, benchmark.val_normal, benchmark.val_anomalous,
+        benchmark.config.ridge, benchmark.config.threshold_beta,
+    )
+    return detection_metrics(net, config, scorer, benchmark.test)
 
 
 def _evaluate(label, net, config, benchmark):
@@ -159,14 +165,13 @@ def _evaluate(label, net, config, benchmark):
 def _training_sets(benchmark, regimes):
     need_generated = any("ODE(s)" in r for r in regimes)
     generated = build_generated(benchmark)[0] if need_generated else []
-    sets = {
+    return {
         "L(r)": benchmark.large,
         "S(r)": benchmark.small,
         "ODE(s)": generated,
         "S(r)+ODE(s)": benchmark.small + generated,
         "L(r)+ODE(s)": benchmark.large + generated,
     }
-    return sets, generated
 
 
 def run_experiment(benchmark, regimes=REGIMES):
@@ -180,7 +185,7 @@ def run_experiment(benchmark, regimes=REGIMES):
     unknown = [r for r in regimes if r not in REGIMES]
     if unknown:
         raise ValueError(f"unknown regimes {unknown}; choose from {list(REGIMES)}")
-    sets, _ = _training_sets(benchmark, regimes)
+    sets = _training_sets(benchmark, regimes)
     names = [name for name in REGIMES if name in regimes]
     trained = _train_networks(benchmark, names, [sets[name] for name in names])
 
@@ -198,12 +203,7 @@ def run_experiment(benchmark, regimes=REGIMES):
                 f_score=f_score,
             )
         )
-    from .benchmark import config_to_dict
-
-    return MetricsReport(
-        rows=rows, config=config_to_dict(benchmark.config),
-        seed=benchmark.config.seed,
-    )
+    return MetricsReport(rows)
 
 
 def augmentation_curve(benchmark, fractions):

@@ -1,7 +1,7 @@
 """Point-wise precision/recall/F metrics and the per-regime report."""
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +46,6 @@ class MetricsReport:
     """One row per training regime, Table-style: NS, NP, P, R, F."""
 
     rows: list
-    config: dict = field(default_factory=dict)
-    seed: int = 0
 
     def row(self, regime):
         for r in self.rows:

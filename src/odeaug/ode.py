@@ -378,9 +378,10 @@ def _sgd_minimize(targets, rows, offsets, config, rng):
     ``g = f * pre``.  It keeps the operation order of a generic loop over
     the parameters, so every iterate equals that loop's bit for bit
     (``tests/test_ode.py`` keeps it as the reference).  The Polyak tail
-    average accumulates in epoch order.  The loss of each epoch's iterate
-    is checked after the loop, in blocks of ``_LOSS_CHUNK`` epochs whose
-    row means equal the per-epoch ``np.mean`` bit for bit.
+    average accumulates in epoch order.  The loop stops at the first epoch
+    whose iterate is not finite; the loss of each epoch's iterate is
+    checked after the loop, in blocks of ``_LOSS_CHUNK`` epochs whose row
+    means equal the per-epoch ``np.mean`` bit for bit.
 
     Raises
     ------
@@ -412,6 +413,10 @@ def _sgd_minimize(targets, rows, offsets, config, rng):
             p0 += c * g0
             p1 += c * g1
             p2 += c * g2
+        # a non-finite parameter makes every residual non-finite (0 * inf
+        # is NaN), so the deferred check would raise on this epoch anyway
+        if not (math.isfinite(p0) and math.isfinite(p1) and math.isfinite(p2)):
+            raise UnidentifiableError("gradient regression diverged")
         iterates[epoch] = p0, p1, p2
         if epoch >= avg_start:
             a0 += p0
@@ -419,14 +424,16 @@ def _sgd_minimize(targets, rows, offsets, config, rng):
             a2 += p2
 
     # one gemv per epoch, as ``rows @ p`` makes, stacked over a block; the
-    # residuals are squared in place, so a block holds one temporary
-    for start in range(0, epochs, _LOSS_CHUNK):
-        block = iterates[start:start + _LOSS_CHUNK, :, np.newaxis]
-        resid = (rows @ block)[..., 0]
-        np.subtract(y_off, resid, out=resid)
-        resid *= resid
-        if not np.all(np.isfinite(np.mean(resid, axis=1))):
-            raise UnidentifiableError("gradient regression diverged")
+    # residuals are squared in place, so a block holds one temporary.  A
+    # huge but finite iterate overflows here; the check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, epochs, _LOSS_CHUNK):
+            block = iterates[start:start + _LOSS_CHUNK, :, np.newaxis]
+            resid = (rows @ block)[..., 0]
+            np.subtract(y_off, resid, out=resid)
+            resid *= resid
+            if not np.all(np.isfinite(np.mean(resid, axis=1))):
+                raise UnidentifiableError("gradient regression diverged")
     n_acc = epochs - avg_start
     return np.array([a0, a1, a2]) / n_acc if n_acc else iterates[-1].copy()
 

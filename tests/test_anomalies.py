@@ -71,6 +71,39 @@ class TestPickInjectionRegions:
             assert host, "region must be inside one high segment"
             assert (end - start) <= host[0].duration
 
+    @pytest.mark.parametrize("kind", [AnomalyKind.ZERO, AnomalyKind.OUT_OF_RANGE,
+                                      AnomalyKind.WRONG_STATE])
+    def test_default_duration_is_a_fraction_of_a_high_segment(self, kind):
+        series, seg, _ = plant_series()
+        highs = [s for s in seg.segments if s.state is State.HIGH]
+        for seed in range(20):
+            spec = AnomalySpec(kind, count=2, seed=seed)
+            for start, end in pick_injection_regions(seg, spec, len(series)):
+                host = [s for s in highs if s.start <= start and end <= s.end]
+                assert len(host) == 1
+                d = host[0].duration
+                assert round(0.25 * d) <= end - start <= round(0.75 * d)
+
+    @pytest.mark.parametrize("kind", [AnomalyKind.NOISE, AnomalyKind.DRIFT])
+    def test_default_duration_is_twenty_samples_or_the_host(self, kind):
+        # segments shorter and longer than the 20-sample default
+        durations = [12, 8, 40, 15, 30, 26, 9, 17]
+        u = np.concatenate([np.full(d, 0.9 if i % 2 else 0.1)
+                            for i, d in enumerate(durations)])
+        seg = segment_control(TimeSeries(["u"], 1.0, u[:, None]), "u", 0.5,
+                              min_duration=2)
+        hosts = [
+            s for s in seg.segments
+            if kind is AnomalyKind.NOISE or s.state is State.HIGH]
+        lengths = set()
+        for seed in range(30):
+            spec = AnomalySpec(kind, seed=seed)
+            [(start, end)] = pick_injection_regions(seg, spec, len(u))
+            [host] = [s for s in hosts if s.start <= start and end <= s.end]
+            assert end - start == min(20, host.duration)
+            lengths.add(end - start)
+        assert 20 in lengths and len(lengths) > 1
+
     def test_deterministic_per_seed(self):
         series, seg, _ = plant_series()
         spec = AnomalySpec(AnomalyKind.ZERO, duration=5, count=2, seed=42)

@@ -3,10 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
-from odeaug import cli
+from odeaug import cli, experiment
 from odeaug.cli import main
 from odeaug.series import read_csv
 
@@ -89,6 +91,14 @@ class TestUsageErrors:
 
     def test_no_subcommand_exits_2(self):
         assert run() == 2
+
+    @pytest.mark.parametrize("duration", ["inf", "nan", "0", "2.5", "-3"])
+    def test_bad_inject_duration_exits_2(self, duration, capsys):
+        # an infinite duration used to escape argparse as an OverflowError
+        assert run("inject", "--data", "in.csv", "--channel", "x",
+                   "--control", "u", "--kind", "zero", "--duration", duration,
+                   "--out", "out.csv") == 2
+        assert "duration" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -203,14 +213,14 @@ class TestPipelineHandoff:
 
     def test_threshold_with_nan_scores_exits_1(self, artifacts, data_dir,
                                                tmp_path, monkeypatch, capsys):
-        real_score_many = cli.score_many
+        real_score_many = experiment.score_many
 
         def score_many_with_nan(*args):
             scores = real_score_many(*args)
             scores[-1][-1] = math.nan
             return scores
 
-        monkeypatch.setattr(cli, "score_many", score_many_with_nan)
+        monkeypatch.setattr(experiment, "score_many", score_many_with_nan)
         out = tmp_path / "scorer.json"
         assert run(
             "threshold", "--net", artifacts["net"],
@@ -247,7 +257,8 @@ class TestPipelineHandoff:
             return wrapper
 
         for name in ("predict_many", "score_many"):
-            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+            monkeypatch.setattr(experiment, name,
+                                counting(name, getattr(experiment, name)))
         out = tmp_path / "scorer.json"
         assert run(
             "threshold", "--net", artifacts["net"],
@@ -334,6 +345,37 @@ class TestPipelineHandoff:
         ) == 1
         assert tree_bytes(out) == before
 
+    @pytest.mark.parametrize("command", ["detect", "evaluate"])
+    def test_scorer_without_threshold_exits_1(self, artifacts, data_dir,
+                                              tmp_path, capsys, command):
+        doc = json.load(open(artifacts["scorer"]))
+        doc["threshold"] = None
+        scorer = tmp_path / "scorer.json"
+        scorer.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(
+            command, "--net", artifacts["net"], "--scorer", str(scorer),
+            "--data", os.path.join(data_dir, "test"), "--out", str(out),
+        ) == 1
+        assert "no threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_evaluate_to_stdout_equals_file(self, artifacts, data_dir,
+                                            tmp_path, capsys, fmt):
+        args = ["evaluate", "--net", artifacts["net"],
+                "--scorer", artifacts["scorer"],
+                "--data", os.path.join(data_dir, "test"), "--format", fmt]
+        assert run(*args) == 0
+        printed = capsys.readouterr().out
+        report = tmp_path / "report"
+        assert run(*args, "--out", str(report)) == 0
+        assert capsys.readouterr().out == ""
+        assert printed == report.read_text()
+        manifest = json.load(open(str(report) + ".manifest.json"))
+        assert manifest["command"] == "evaluate"
+        assert manifest["config"] == {"format": fmt}
+
     def test_detect_on_directory_without_csv_exits_0(self, artifacts,
                                                      tmp_path):
         empty = tmp_path / "empty"
@@ -380,6 +422,29 @@ class TestPipelineHandoff:
             "--config", str(config), "--out", str(out),
         ) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverging_fit_ode_prints_one_error_line(self, data_dir,
+                                                     tmp_path):
+        # the iterate stays finite but its loss overflows: numpy must not
+        # add warnings to the error line
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps(
+            {"sgd": {"learning_rate": 0.4, "warmup_fraction": 1,
+                     "epochs": 50}}))
+        out = tmp_path / "model.json"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-m", "odeaug.cli", "fit-ode",
+             "--data", os.path.join(data_dir, "small", "series_000.csv"),
+             "--control", "control", "--dependent", "response",
+             "--config", str(config), "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "odeaug fit-ode: error: gradient regression diverged"]
         assert not out.exists()
 
     def test_augment_with_wrong_arity_model_exits_1(self, artifacts, tmp_path,
@@ -443,6 +508,25 @@ class TestExperimentCommands:
         assert run(command, "--config", str(config), "--out", str(out)) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "experiment"])
+    def test_bad_lstm_settings_fail_before_any_fit(self, tmp_path, monkeypatch,
+                                                   capsys, command):
+        fits = []
+        real_fit = experiment.fit
+
+        def counting_fit(*args, **kwargs):
+            fits.append(args)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "fit", counting_fit)
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"n_small": 4, "lstm": {"epochs": 0}}))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(config), "--out", str(out)) == 1
+        assert "epochs" in capsys.readouterr().err
+        assert not out.exists()
+        assert fits == []
 
     def test_experiment_rerun_byte_identical(self, tmp_path, bench_config):
         a = tmp_path / "a"

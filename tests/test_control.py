@@ -81,6 +81,79 @@ class TestSegmentControl:
             segment_control(series_of([0, 1, 0]), "u", 0.5, min_duration=2)
 
 
+def reference_runs(y, threshold, min_duration):
+    """Run merging as a loop that merges the shortest short run into its
+    longer neighbour and joins equal-state neighbours after every merge;
+    ``[(state, start, duration), ...]``."""
+    high = y > threshold
+    runs = []
+    start = 0
+    for i in range(1, len(y) + 1):
+        if i == len(y) or high[i] != high[start]:
+            runs.append([State.HIGH if high[start] else State.LOW, start,
+                         i - start])
+            start = i
+
+    def coalesce(rs):
+        out = []
+        for r in rs:
+            if out and out[-1][0] is r[0]:
+                out[-1][2] += r[2]
+            else:
+                out.append(list(r))
+        return out
+
+    runs = coalesce(runs)
+    while len(runs) > 1:
+        short = [i for i, r in enumerate(runs) if r[2] < min_duration]
+        if not short:
+            break
+        idx = min(short, key=lambda i: (runs[i][2], i))
+        neighbours = [j for j in (idx - 1, idx + 1) if 0 <= j < len(runs)]
+        target = max(neighbours, key=lambda j: (runs[j][2], -j))
+        lo, hi = min(idx, target), max(idx, target)
+        runs[lo] = [runs[target][0], runs[lo][1], runs[lo][2] + runs[hi][2]]
+        del runs[hi]
+        runs = coalesce(runs)
+    return [tuple(r) for r in runs]
+
+
+def random_channel(rng, kind):
+    n = int(rng.integers(10, 80))
+    if kind == "random":
+        return rng.random(n)
+    if kind == "two_level":
+        return (rng.random(n) < 0.5) + rng.normal(0.0, 0.2, n)
+    if kind == "repeated":
+        return np.repeat(rng.random(n // 3 + 1), rng.integers(1, 5))[:n]
+    return rng.integers(0, 3, n) * 0.5   # three levels
+
+
+class TestSegmentControlReference:
+    @pytest.mark.parametrize("kind", ["random", "two_level", "repeated",
+                                      "three_level"])
+    def test_matches_reference_loop(self, kind):
+        rng = np.random.default_rng(["random", "two_level", "repeated",
+                                     "three_level"].index(kind))
+        for _ in range(150):
+            y = random_channel(rng, kind)
+            min_duration = int(rng.integers(1, 6))
+            if len(y) < 2 * min_duration:
+                continue
+            for threshold in (AUTO, float(rng.uniform(0.2, 0.8))):
+                seg = segment_control(series_of(y), "u", threshold,
+                                      min_duration=min_duration)
+                if seg.degenerate:
+                    assert len(seg.segments) == 1
+                    continue
+                got = [(s.state, s.start, s.duration) for s in seg.segments]
+                assert got == reference_runs(y, seg.threshold, min_duration)
+                assert [s.level for s in seg.segments] == [
+                    float(np.mean(y[s.start:s.end])) for s in seg.segments]
+                if threshold is not AUTO:
+                    assert seg.threshold == threshold
+
+
 def two_state_profile(high_durs, low_durs, high_levels, low_levels, starts=(1, 0)):
     segs = []
     pos = 0

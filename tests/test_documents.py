@@ -14,8 +14,8 @@ import pytest
 from odeaug.augment import FittedPair, fitted_pair_from_dict, fitted_pair_to_dict
 from odeaug.benchmark import (BenchmarkConfig, LstmSettings, config_from_dict,
                               config_to_dict)
-from odeaug.control import (PairFeatures, build_profile, profile_from_dict,
-                            profile_to_dict, segment_control)
+from odeaug.control import (PairFeatures, State, build_profile,
+                            profile_from_dict, profile_to_dict, segment_control)
 from odeaug.lstm import (PredictorConfig, init_network, network_from_dict,
                          network_to_dict)
 from odeaug.ode import (LINEAR1, FitConfig, OdeParams, PsoConfig, SgdConfig,
@@ -96,6 +96,22 @@ def control_profile(rng, tmp_path):
     assert_same(profile, profile_from_dict(through_json(profile_to_dict(profile))))
 
 
+def single_state_control_profile(rng, tmp_path):
+    # every source holds one state, so the other state's histograms are None
+    high = bool(rng.random() < 0.5)
+    segmentations = []
+    for _ in range(2):
+        u = rng.uniform(0.7, 1.0, 50) if high else rng.uniform(0.1, 0.3, 50)
+        series = TimeSeries(["control"], 0.1, u[:, None])
+        segmentations.append(segment_control(series, "control", 0.5))
+    profile = build_profile(segmentations, bins=int(rng.integers(2, 12)))
+    assert profile.single_state
+    missing = State.LOW if high else State.HIGH
+    assert profile.duration_hists[missing] is None
+    assert profile.level_hists[missing] is None
+    assert_same(profile, profile_from_dict(through_json(profile_to_dict(profile))))
+
+
 def network(rng, tmp_path):
     config = PredictorConfig(
         input_channels=("control", "response"), predicted_channels=("response",),
@@ -170,7 +186,8 @@ def csv_series(rng, tmp_path):
 
 
 KINDS = [ode_model, fitted_pair, control_profile, network, scorer,
-         benchmark_config, csv_series, list_valued_config]
+         benchmark_config, csv_series, list_valued_config,
+         single_state_control_profile]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -354,6 +354,37 @@ class TestTrainMany:
                 assert np.array_equal(a, b)
             assert log == solo_log
 
+    def test_one_job_clips_and_the_other_does_not(self, monkeypatch):
+        scaled = []
+        real_clip = lstm.clip_gradients
+
+        def recording_clip(grads, max_norm):
+            clipped = real_clip(grads, max_norm)
+            if clipped is not grads:
+                # the model without clipping keeps its gradients as they are
+                off = max_norm == 0
+                assert all(np.array_equal(c[off], g[off])
+                           for c, g in zip(clipped, grads))
+                scaled.append(off.any())
+            return clipped
+
+        jobs = _stack_jobs((6,))[:2]
+        configs = [dict(jobs[0][1], clip_norm=0.05), dict(jobs[1][1], clip_norm=0.0)]
+        monkeypatch.setattr(lstm, "clip_gradients", recording_clip)
+        stacked = train_many([(s, PredictorConfig(**kw), val)
+                              for (s, _, val), kw in zip(jobs, configs)])
+        assert any(scaled)
+        monkeypatch.undo()
+        for (series, _, val), kw, (net, log) in zip(jobs, configs, stacked):
+            solo_net, solo_log = train(series, PredictorConfig(**kw), val_series=val)
+            for a, b in zip(net.parameters(), solo_net.parameters()):
+                assert np.array_equal(a, b)
+            assert log == solo_log
+        unclipped, _ = train(jobs[0][0], PredictorConfig(**jobs[0][1]),
+                             val_series=jobs[0][2])
+        assert not np.array_equal(stacked[0][0].parameters()[0],
+                                  unclipped.parameters()[0])
+
     @pytest.mark.parametrize("override", [
         {"layer_sizes": (4,)}, {"tbptt_length": 8}, {"prediction_length": 1},
     ])

@@ -83,7 +83,7 @@ class TestMetricsReport:
             RegimeRow("ODE(s)", 125, 13598, 0.32, 0.82, 0.46),
             RegimeRow("S(r)+ODE(s)", 165, 17169, 0.52, 0.83, 0.64),
         ]
-        return MetricsReport(rows=rows, config={}, seed=1)
+        return MetricsReport(rows)
 
     def test_combined_counts_are_sums(self):
         report = self._report()

@@ -1,6 +1,7 @@
 """ODE evaluation, integration, and the two-stage fit against oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -467,7 +468,9 @@ def reference_sgd(targets, rows, offsets, config, rng):
                 p_work[j] += c * pf[j]
         p = np.array(p_work)
         resid = targets - offsets - rows @ p
-        if not math.isfinite(float(np.mean(resid * resid))):
+        with np.errstate(over="ignore"):
+            loss = float(np.mean(resid * resid))
+        if not math.isfinite(loss):
             raise UnidentifiableError("gradient regression diverged")
         if epoch >= avg_start:
             acc += p
@@ -522,5 +525,33 @@ class TestSgdFastPath:
         assert p.tobytes() == ref.tobytes()
         after = SgdConfig(learning_rate=0.33, epochs=80, warmup_fraction=1.0)
         for solver in (_sgd_minimize, reference_sgd):
-            with pytest.raises(UnidentifiableError, match="diverged"):
-                solver(*design, after, np.random.default_rng(0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(UnidentifiableError, match="diverged"):
+                    solver(*design, after, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("learning_rate, epochs, stop", [
+        (1e3, 100, 1),
+        # the iterate first leaves the floats in epoch 141; the loss is
+        # non-finite from epoch 68 on
+        (0.33, 200, 141),
+    ])
+    def test_divergence_stops_at_the_first_non_finite_iterate(
+            self, learning_rate, epochs, stop):
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+                self.shuffles = 0
+
+            def shuffle(self, order):
+                self.shuffles += 1
+                self.rng.shuffle(order)
+
+        pair = two_level_pair((1.5, 0.8, 0.2), noise=0.02, seed=2)
+        design = sgd_design(pair, 0.1, FitConfig())
+        rng = CountingRng(np.random.default_rng(0))
+        config = SgdConfig(learning_rate=learning_rate, epochs=epochs,
+                           warmup_fraction=1.0)
+        with pytest.raises(UnidentifiableError, match="diverged"):
+            _sgd_minimize(*design, config, rng)
+        assert rng.shuffles == stop
