@@ -13,16 +13,15 @@ from .augment import AugmentationPlan, FittedPair, generate_series_pair
 from .benchmark import Benchmark, BenchmarkConfig, LstmSettings, gen_benchmark
 from .control import (AUTO, ControlProfile, PairFeatures, State,
                       StateSegmentation, build_profile, pair_features,
-                      sample_control, segment_control, select_donor)
+                      segment_control, select_donor)
 from .experiment import (REGIMES, augmentation_curve, build_generated,
                          run_experiment)
 from .lstm import (LstmNetwork, PredictorConfig, init_network, predict,
                    predict_many, train)
 from .metrics import MetricsReport, RegimeRow, prf_metrics
-from .ode import (LINEAR1, FitConfig, FitReport, OdeParams, OdeStructure,
-                  PsoConfig, SeriesPair, SgdConfig, fit, fit_gradient_sgd,
-                  integrate, refine_pso)
-from .scoring import (GaussianScorer, detect, error_vectors, fit_gaussian,
+from .ode import (FitConfig, FitReport, OdeParams, PsoConfig, SeriesPair,
+                  SgdConfig, fit, fit_gradient_sgd, integrate, refine_pso)
+from .scoring import (GaussianScorer, error_vectors, fit_gaussian,
                       log_likelihood, score_many, select_threshold)
 from .series import TimeSeries, read_csv, write_csv
 

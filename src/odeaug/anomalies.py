@@ -182,7 +182,7 @@ def pick_injection_regions(segmentation, spec, series_length, rng=None):
 def inject(series, segmentation, model, spec, channel):
     """Apply one anomaly spec to a channel; returns (labeled series, report).
 
-    ``model`` is the (structure, OdeParams) pair fitted to the series and
+    ``model`` is the :class:`OdeParams` fitted to the series and
     is required only for WRONG_STATE, whose regions are replaced by
     integrating the model under a constant low-state control level.
     Channel statistics (range, std) are taken over points not already
@@ -217,7 +217,6 @@ def inject(series, segmentation, model, spec, channel):
                 s_min - magnitude * s_range
             out[start:end] = level
         elif kind is AnomalyKind.WRONG_STATE:
-            structure, params = model
             low_segs = [s for s in segmentation.segments if s.state is State.LOW]
             if not low_segs:
                 raise ValueError("segmentation has no LOW segments to imitate")
@@ -226,9 +225,8 @@ def inject(series, segmentation, model, spec, channel):
                 np.sum([s.level * s.duration for s in low_segs]) / weights.sum()
             )
             ctrl = np.full(d, low_level)
-            shifted = _shift_params(params, start)
             out[start:end] = integrate(
-                structure, shifted, ctrl, y[start], series.sample_period
+                _shift_params(model, start), y[start], ctrl, series.sample_period
             )
         elif kind is AnomalyKind.NOISE:
             out[start:end] = out[start:end] + rng.normal(0.0, magnitude * s_std, d)

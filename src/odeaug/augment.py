@@ -15,8 +15,7 @@ import numpy as np
 from .control import (ControlProfile, PairFeatures, pair_features,
                       render_segments, sample_segments, select_donor)
 from .errors import DivergenceError, GenerationError
-from .ode import (LINEAR1, OdeParams, integrate, params_from_dict,
-                  params_to_dict)
+from .ode import OdeParams, integrate, params_from_dict, params_to_dict
 from .series import TimeSeries
 
 
@@ -37,7 +36,6 @@ class AugmentationPlan:
     length: int
     seed: int
     sample_period: float
-    structure: object = LINEAR1
     channel_names: tuple = ("control", "dependent")
 
     def __post_init__(self):
@@ -72,11 +70,7 @@ def generate_with_record(plan, k):
     donor = plan.fitted[donor_idx]
     try:
         dependent = integrate(
-            plan.structure,
-            donor.params,
-            control,
-            donor.initial_value,
-            plan.sample_period,
+            donor.params, donor.initial_value, control, plan.sample_period
         )
     except DivergenceError as exc:
         raise GenerationError(
@@ -98,8 +92,8 @@ def generate_series_pair(plan, k):
 # ---------------------------------------------------------------------------
 # serialization: fitted-pair documents and generation manifests
 
-def fitted_pair_to_dict(pair, structure, **meta):
-    doc = params_to_dict(structure, pair.params)
+def fitted_pair_to_dict(pair, **meta):
+    doc = params_to_dict(pair.params)
     doc["initial_value"] = pair.initial_value
     doc["features"] = {
         "mean_high_duration": pair.features.mean_high_duration,
@@ -112,6 +106,6 @@ def fitted_pair_to_dict(pair, structure, **meta):
 
 
 def fitted_pair_from_dict(doc):
-    structure, params = params_from_dict(doc)
     features = PairFeatures(**doc["features"])
-    return FittedPair(features, params, float(doc["initial_value"])), structure
+    return FittedPair(
+        features, params_from_dict(doc), float(doc["initial_value"]))

@@ -16,8 +16,7 @@ from .anomalies import AnomalyKind, AnomalySpec, inject
 from .control import AUTO, segment_control
 from .errors import PlacementError
 from .lstm import PredictorConfig
-from .ode import (LINEAR1, FitConfig, OdeParams, PsoConfig, SgdConfig,
-                  integrate)
+from .ode import FitConfig, OdeParams, PsoConfig, SgdConfig, integrate
 from .series import TimeSeries
 
 CONTROL_CHANNEL = "control"
@@ -101,11 +100,6 @@ class BenchmarkConfig:
         if not (math.isfinite(self.threshold_beta) and self.threshold_beta > 0):
             raise ValueError("threshold_beta must be finite and > 0")
 
-    @property
-    def target_anomaly_fraction(self):
-        """Expected labeled-point fraction in anomalous sets."""
-        return self.injections_per_series * self.anomaly_duration / self.series_length
-
 
 @dataclass
 class Benchmark:
@@ -147,10 +141,9 @@ def _gen_normal(config, rng):
     p0, p1, p2 = params
     x0 = (p0 * control[0] + p2) / p1
     clean = integrate(
-        LINEAR1,
         OdeParams.single(params, config.series_length),
-        control,
         x0,
+        control,
         config.sample_period,
     )
     noise_std = config.noise_std_frac * float(np.max(clean) - np.min(clean))
@@ -168,7 +161,7 @@ def _gen_normal(config, rng):
 def _inject_all(config, series, true_params, series_index, rng):
     """Apply the configured anomaly kinds to one normal series, in turn."""
     segmentation = segment_control(series, CONTROL_CHANNEL, AUTO, min_duration=2)
-    model = (LINEAR1, OdeParams.single(true_params, len(series)))
+    model = OdeParams.single(true_params, len(series))
     kinds = config.anomaly_kinds
     labeled = series
     for j in range(config.injections_per_series):

@@ -26,7 +26,7 @@ from .experiment import (REGIMES, augmentation_curve, calibrate_scorer,
 from .lstm import (PredictorConfig, network_from_dict,  # noqa: F401
                    network_to_dict, predict, train)
 from .metrics import MetricsReport, RegimeRow
-from .ode import LINEAR1, SeriesPair, fit, get_structure
+from .ode import STRUCTURE_ID, SeriesPair, fit
 from .scoring import (error_vectors, score_many, score_series,  # noqa: F401
                       scorer_from_dict, scorer_to_dict, select_threshold)
 from .series import read_csv, read_csv_dir, write_csv
@@ -85,9 +85,17 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _read_json(path):
+def _read_doc(path, reader=None):
+    """The JSON document at ``path``, passed through ``reader`` if given.
+
+    A key the document lacks is reported with the path and the key.
+    """
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    try:
+        return doc if reader is None else reader(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
 
 
 def _write_manifest(command, out_dir_or_file, seed, config_echo, inputs,
@@ -119,7 +127,7 @@ def _load_series_any(path):
 def _benchmark_config(args):
     """The benchmark config of ``--config`` with ``--seed`` applied, and
     the manifest's input list."""
-    config_doc = _read_json(args.config) if args.config else {}
+    config_doc = _read_doc(args.config) if args.config else {}
     if args.seed is not None:
         config_doc["seed"] = args.seed
     return config_from_dict(config_doc), [args.config] if args.config else []
@@ -128,8 +136,8 @@ def _benchmark_config(args):
 def _load_detector(args):
     """The network, its config and the thresholded scorer of ``--net``
     and ``--scorer``."""
-    net, config = network_from_dict(_read_json(args.net))
-    scorer = scorer_from_dict(_read_json(args.scorer))
+    net, config = _read_doc(args.net, network_from_dict)
+    scorer = _read_doc(args.scorer, scorer_from_dict)
     if scorer.threshold is None:
         raise ValueError("scorer has no threshold; run the threshold command")
     return net, config, scorer
@@ -154,19 +162,18 @@ def cmd_gen_data(args):
 
 def cmd_fit_ode(args):
     series = read_csv(args.data)
-    fit_doc = _read_json(args.config) if args.config else {}
+    fit_doc = _read_doc(args.config) if args.config else {}
     if args.seed is not None:
         fit_doc["seed"] = args.seed
     if args.pso:
         fit_doc["use_pso"] = True
     config = config_from_dict({"fit": fit_doc}).fit
     pair = SeriesPair.from_series(series, args.control, args.dependent)
-    report = fit(pair, LINEAR1, config)
+    report = fit(pair, config)
     seg = segment_control(series, args.control, AUTO, min_duration=2)
     _ensure_out_file(args.out, args.force)
     doc = fitted_pair_to_dict(
         FittedPair(pair_features(seg), report.params, float(pair.dependent[0])),
-        LINEAR1,
         rmse=report.rmse,
         dropped_fraction=report.dropped_fraction,
         pso_used=report.pso_used,
@@ -178,7 +185,7 @@ def cmd_fit_ode(args):
     _write_json(args.out, doc)
     _write_manifest(
         "fit-ode", args.out, config.seed,
-        {"fit": fit_doc, "structure": LINEAR1.id},
+        {"fit": fit_doc, "structure": STRUCTURE_ID},
         [args.data] + ([args.config] if args.config else []),
     )
     return 0
@@ -206,28 +213,28 @@ def cmd_synth_control(args):
     return 0
 
 
+def _read_donor(doc):
+    """A donor model document's fitted pair, sample period and channel names."""
+    channels = doc.get("channels") or {"control": "control",
+                                       "dependent": "dependent"}
+    return (fitted_pair_from_dict(doc), float(doc["sample_period"]),
+            (channels["control"], channels["dependent"]))
+
+
 def cmd_augment(args):
-    profile = profile_from_dict(_read_json(args.profile))
-    fitted, structures, periods, channel_docs = [], set(), set(), []
-    for path in args.models:
-        doc = _read_json(path)
-        pair, structure = fitted_pair_from_dict(doc)
-        fitted.append(pair)
-        structures.add(structure.id)
-        periods.add(float(doc["sample_period"]))
-        channel_docs.append(doc.get("channels", {}))
-    if len(structures) != 1 or len(periods) != 1:
-        raise ValueError("donor models must share one structure and sample period")
-    channels = channel_docs[0] or {"control": "control", "dependent": "dependent"}
+    profile = _read_doc(args.profile, profile_from_dict)
+    donors = [_read_doc(path, _read_donor) for path in args.models]
+    periods = {period for _, period, _ in donors}
+    if len(periods) != 1:
+        raise ValueError("donor models must share one sample period")
     plan = AugmentationPlan(
         profile=profile,
-        fitted=fitted,
+        fitted=[pair for pair, _, _ in donors],
         count=args.count,
         length=args.length,
         seed=args.seed,
         sample_period=periods.pop(),
-        structure=get_structure(structures.pop()),
-        channel_names=(channels["control"], channels["dependent"]),
+        channel_names=donors[0][2],
     )
     _ensure_out_dir(args.out, args.force)
     records = []
@@ -254,8 +261,7 @@ def cmd_inject(args):
     seg = segment_control(series, args.control, AUTO, min_duration=2)
     model = None
     if args.model:
-        pair, structure = fitted_pair_from_dict(_read_json(args.model))
-        model = (structure, pair.params)
+        model = _read_doc(args.model, fitted_pair_from_dict).params
     spec = AnomalySpec(
         kind=AnomalyKind[args.kind.upper()],
         duration=args.duration,
@@ -293,7 +299,7 @@ def _duration_arg(text):
 
 def cmd_train(args):
     series_list = _load_series_any(args.data)
-    cfg_doc = _read_json(args.config) if args.config else {}
+    cfg_doc = _read_doc(args.config) if args.config else {}
     cfg_doc.setdefault("input_channels", series_list[0].channel_names)
     if args.predicted:
         cfg_doc["predicted_channels"] = args.predicted.split(",")
@@ -321,7 +327,7 @@ def cmd_train(args):
 
 
 def cmd_threshold(args):
-    net, config = network_from_dict(_read_json(args.net))
+    net, config = _read_doc(args.net, network_from_dict)
     scorer, achieved = calibrate_scorer(
         net, config, _load_series_any(args.normal),
         _load_series_any(args.labeled), args.ridge, args.beta,

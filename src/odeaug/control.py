@@ -55,15 +55,6 @@ class StateSegmentation:
             pos = seg.end
             prev_state = seg.state
 
-    def state_mask(self, length=None):
-        """Boolean array, True where the control is HIGH."""
-        n = length or self.segments[-1].end
-        mask = np.zeros(n, dtype=bool)
-        for seg in self.segments:
-            if seg.state is State.HIGH:
-                mask[seg.start:seg.end] = True
-        return mask
-
 
 def _two_means(y):
     """1-D 2-means centroids, initialized at the extremes."""
@@ -283,11 +274,6 @@ def render_segments(segments, length):
     for seg in segments:
         out[seg.start:seg.end] = seg.level
     return out
-
-
-def sample_control(profile, length, seed):
-    """Synthesize a piecewise-constant control channel from a profile."""
-    return render_segments(sample_segments(profile, length, seed), length)
 
 
 # ---------------------------------------------------------------------------

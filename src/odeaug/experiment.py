@@ -20,7 +20,7 @@ from .errors import InvalidJobError, TrainingDivergedError
 # perfbench/tracing.py wraps them by this module's name.
 from .lstm import predict, predict_many, train, train_many  # noqa: F401
 from .metrics import MetricsReport, RegimeRow, prf_metrics
-from .ode import LINEAR1, SeriesPair, fit
+from .ode import SeriesPair, fit
 from .scoring import (check_beta, check_ridge, error_vectors,  # noqa: F401
                       fit_gaussian, score_many, score_series,
                       select_threshold)
@@ -51,7 +51,7 @@ def build_generated(benchmark):
         fit_config = replace(
             config.fit, seed=_derive_seed(config.seed, _FIT_TAG, i)
         )
-        report = fit(pair, LINEAR1, fit_config)
+        report = fit(pair, fit_config)
         fitted.append(
             FittedPair(pair_features(seg), report.params, float(pair.dependent[0]))
         )
@@ -62,7 +62,6 @@ def build_generated(benchmark):
         length=config.series_length,
         seed=_derive_seed(config.seed, _GEN_TAG),
         sample_period=config.sample_period,
-        structure=LINEAR1,
         channel_names=(CONTROL_CHANNEL, RESPONSE_CHANNEL),
     )
     generated = [

@@ -14,7 +14,7 @@ current step.  Predictions are in normalized (z-scored) units.
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -705,22 +705,7 @@ def network_to_dict(net, config):
     return {
         "version": 1,
         "kind": "lstm-network",
-        "config": {
-            "input_channels": list(config.input_channels),
-            "predicted_channels": list(config.predicted_channels),
-            "layer_sizes": list(config.layer_sizes),
-            "prediction_length": config.prediction_length,
-            "learning_rate": config.learning_rate,
-            "epochs": config.epochs,
-            "clip_norm": config.clip_norm,
-            "seed": config.seed,
-            "tbptt_length": config.tbptt_length,
-            "series_batch_size": config.series_batch_size,
-            "patience": config.patience,
-            "val_fraction": config.val_fraction,
-            "norm_mean": config.norm_mean,
-            "norm_std": config.norm_std,
-        },
+        "config": asdict(config),
         "layers": [
             {"w_x": l.w_x.tolist(), "w_h": l.w_h.tolist(), "b": l.b.tolist()}
             for l in net.layers

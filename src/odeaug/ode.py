@@ -1,6 +1,7 @@
 """ODE model representation, integration, and two-stage parameter fitting.
 
-The model is ``dx/dt = f(P, x, u)`` with window-wise parameters ``P``.
+The model is linear1, ``dx/dt = p0 * u - p1 * x + p2`` (:func:`rhs`), with
+window-wise parameters ``P = (p0, p1, p2)``.
 Fitting runs in two stages: a gradient-matching regression solved by
 stochastic gradient descent (the derivative targets come from
 :mod:`odeaug.series`), followed by an optional particle-swarm refinement
@@ -12,7 +13,7 @@ all of them.
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,42 +21,28 @@ from .errors import DivergenceError, RefinementFailedError, UnidentifiableError
 from .series import TimeSeries, curvature, derivative, moving_average
 
 
-@dataclass(frozen=True)
-class OdeStructure:
-    """Right-hand side ``rhs(params, x, u)`` of the model, returning dx/dt.
+#: The model, a first-order linear response to a control input with
+#: parameters (gain, decay, offset); documents name it by this id.
+STRUCTURE_ID = "linear1"
+PARAM_COUNT = 3
+
+
+def rhs(p, x, u):
+    """dx/dt of the model.
 
     ``x`` and ``u`` may be scalars or equal-length arrays, and each
-    parameter a scalar or an array column.  Structures are linear in their
-    parameters, rhs = rhs(0, x, u) + sum_j params[j] * (rhs(e_j, x, u) -
+    parameter a scalar or an array column.  The model is linear in its
+    parameters, rhs = rhs(0, x, u) + sum_j p[j] * (rhs(e_j, x, u) -
     rhs(0, x, u)), which the gradient-matching solver uses to derive its
     design rows from ``rhs`` alone.
     """
-
-    id: str
-    rhs: Callable
-    param_count: int
-
-
-def _linear1_rhs(p, x, u):
     return p[0] * u - p[1] * x + p[2]
-
-
-#: First-order linear response to a control input: gain, decay, offset.
-LINEAR1 = OdeStructure("linear1", _linear1_rhs, 3)
-
-STRUCTURES = {LINEAR1.id: LINEAR1}
-
-
-def get_structure(structure_id):
-    try:
-        return STRUCTURES[structure_id]
-    except KeyError:
-        raise ValueError(f"unknown ODE structure {structure_id!r}") from None
 
 
 @dataclass
 class OdeParams:
-    """Window-wise parameter tuples: list of (start, end, params).
+    """Window-wise parameter tuples: list of (start, end, params), each
+    ``params`` holding :data:`PARAM_COUNT` values.
 
     Windows must be contiguous, non-overlapping, in order, and cover the
     fitted span; ``end`` is exclusive.  Indices outside the span clamp to
@@ -75,6 +62,11 @@ class OdeParams:
             params = tuple(float(p) for p in params)
             if end <= start:
                 raise ValueError(f"empty window ({start}, {end})")
+            if len(params) != PARAM_COUNT:
+                raise ValueError(
+                    f"{STRUCTURE_ID} expects {PARAM_COUNT} parameters, "
+                    f"window [{start},{end}) has {len(params)}"
+                )
             if prev_end is not None and start != prev_end:
                 raise ValueError("windows must be contiguous and ordered")
             if not all(math.isfinite(p) for p in params):
@@ -88,28 +80,13 @@ class OdeParams:
         return cls([(0, int(length), tuple(params))])
 
 
-def _check_arity(structure, windows):
-    """Return ``windows`` after checking each parameter tuple's length."""
-    for start, end, p in windows:
-        if len(p) != structure.param_count:
-            raise ValueError(
-                f"{structure.id} expects {structure.param_count} parameters, "
-                f"window [{start},{end}) has {len(p)}"
-            )
-    return windows
-
-
-def stability_notes(structure, params):
+def stability_notes(params):
     """Human-readable warnings for parameter regimes known to be unstable."""
-    notes = []
-    if structure.id == "linear1":
-        for start, end, p in params.windows:
-            if p[1] <= 0.0:
-                notes.append(
-                    f"window [{start},{end}): decay coefficient {p[1]:g} is not "
-                    "positive; trajectories will not relax to an equilibrium"
-                )
-    return notes
+    return [
+        f"window [{start},{end}): decay coefficient {p[1]:g} is not "
+        "positive; trajectories will not relax to an equilibrium"
+        for start, end, p in params.windows if p[1] <= 0.0
+    ]
 
 
 @dataclass(frozen=True)
@@ -144,11 +121,11 @@ class SeriesPair:
 # ---------------------------------------------------------------------------
 # integration
 
-def integrate(structure, params, control, x0, dt, abs_bound=None):
+def integrate(params, x0, control, dt, abs_bound=None):
     """Fixed-step classical Runge-Kutta trajectory under a sampled control.
 
     ``params`` is an :class:`OdeParams`, one parameter vector for the
-    whole span, or a ``(P, k)`` swarm of such vectors.  The control is held
+    whole span, or a ``(P, 3)`` swarm of such vectors.  The control is held
     constant over each sample for the intra-step stages.  Returns one value
     per control sample, starting at ``x0``: an ``(n,)`` array, or ``(P, n)``
     for a swarm, whose rows are stepped together in one time loop with the
@@ -169,6 +146,10 @@ def integrate(structure, params, control, x0, dt, abs_bound=None):
         raise ValueError("dt must be positive")
     swarm = isinstance(params, np.ndarray) and params.ndim == 2
     if swarm:
+        if params.shape[1] != PARAM_COUNT:
+            raise ValueError(
+                f"{STRUCTURE_ID} expects {PARAM_COUNT} parameters, "
+                f"swarm has {params.shape[1]}")
         if not np.all(np.isfinite(params)):
             raise ValueError("swarm parameters must be finite")
         # one window whose parameters are P-length columns
@@ -181,8 +162,7 @@ def integrate(structure, params, control, x0, dt, abs_bound=None):
         windows = params.windows
         x = float(x0)
         out = np.empty(n)
-    _check_arity(structure, windows)
-    rhs = structure.rhs
+    f = rhs  # a local, looked up faster than the module global
     out[..., 0] = x
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -193,10 +173,10 @@ def integrate(structure, params, control, x0, dt, abs_bound=None):
         for start, stop, (_, _, p) in zip([0] + stops, stops, windows):
             for i in range(start, stop):
                 u = control[i]
-                k1 = rhs(p, x, u)
-                k2 = rhs(p, x + half * k1, u)
-                k3 = rhs(p, x + half * k2, u)
-                k4 = rhs(p, x + dt * k3, u)
+                k1 = f(p, x, u)
+                k2 = f(p, x + half * k1, u)
+                k3 = f(p, x + half * k2, u)
+                k4 = f(p, x + dt * k3, u)
                 x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
                 out[..., i + 1] = x
         # every step is stored, so the first bad one is found exactly
@@ -213,19 +193,18 @@ def integrate(structure, params, control, x0, dt, abs_bound=None):
     return out
 
 
-def integration_rmse(structure, params, pair, abs_bound=None):
+def integration_rmse(params, pair, abs_bound=None):
     """RMSE between the observed dependent channel and the integrated model.
 
     Integration starts from the first observed dependent sample.  A
-    diverging trajectory scores ``inf`` instead of raising.  A ``(P, k)``
+    diverging trajectory scores ``inf`` instead of raising.  A ``(P, 3)``
     swarm of parameter vectors gives a ``(P,)`` array of scores.
     """
     try:
         traj = integrate(
-            structure,
             params,
-            pair.control,
             pair.dependent[0],
+            pair.control,
             pair.sample_period,
             abs_bound=abs_bound,
         )
@@ -319,9 +298,8 @@ class FitConfig:
                 and self.smooth_window >= 1 and self.smooth_window % 2 == 1):
             raise ValueError("smooth_window must be an odd integer >= 1")
         if not (isinstance(self.min_points, numbers.Integral)
-                and self.min_points >= LINEAR1.param_count):
-            raise ValueError(
-                f"min_points must be an integer >= {LINEAR1.param_count}")
+                and self.min_points >= PARAM_COUNT):
+            raise ValueError(f"min_points must be an integer >= {PARAM_COUNT}")
         previous_end = 0
         for bound in self.window_bounds or ():
             start, end = bound
@@ -347,7 +325,6 @@ class FitCandidate(NamedTuple):
 class FitReport:
     params: OdeParams
     rmse: float
-    candidates: list
     dropped_fraction: float
     pso_used: bool
     notes: list = field(default_factory=list)
@@ -366,7 +343,7 @@ def _sgd_minimize(targets, rows, offsets, config, rng):
 
     ``rows`` are the ``(n, 3)`` parameter-gradient design rows of linear1
     and ``offsets`` the right-hand side at zero parameters, one per
-    retained point; the structure is linear in its parameters, so the
+    retained point; the model is linear in its parameters, so the
     residual of point ``t`` is ``targets[t] - offsets[t] - rows[t] . p``.
     Updates are preconditioned by the inverse mean-square design row.  The
     preconditioner is constant, so the fixed point is still the unweighted
@@ -449,7 +426,7 @@ def _retained_indices(smoothed, dt, q, max_order):
     return np.sort(order[: n - n_drop])
 
 
-def fit_gradient_sgd(pair, structure, drop_fractions, config=None):
+def fit_gradient_sgd(pair, drop_fractions, config=None):
     """Gradient-matching candidates, one per drop fraction.
 
     For each fraction ``q``: smooth the dependent channel, estimate its
@@ -461,17 +438,13 @@ def fit_gradient_sgd(pair, structure, drop_fractions, config=None):
     Raises
     ------
     ValueError
-        On a structure without 3 parameters, a fraction outside [0, 0.5]
-        or fewer than ``min_points`` retained samples.
+        On a fraction outside [0, 0.5] or fewer than ``min_points``
+        retained samples.
     UnidentifiableError
         If the regression design is rank-deficient (e.g. constant control
         with the state held at equilibrium), or the SGD diverges.
     """
     config = config or FitConfig()
-    if structure.param_count != 3:
-        raise ValueError(
-            "the gradient stage fits 3-parameter structures; "
-            f"{structure.id} has {structure.param_count}")
     n = len(pair)
     for q in drop_fractions:
         if not (0.0 <= q <= 0.5):
@@ -480,7 +453,6 @@ def fit_gradient_sgd(pair, structure, drop_fractions, config=None):
     targets = derivative(smoothed, pair.sample_period, 1)
     bound = _divergence_bound(pair.dependent)
 
-    k = structure.param_count
     candidates = []
     ss = np.random.SeedSequence([_seed_entropy(config.seed), 101])
     streams = ss.spawn(len(drop_fractions))
@@ -494,16 +466,14 @@ def fit_gradient_sgd(pair, structure, drop_fractions, config=None):
         # linear in the parameters: the right-hand side at zero parameters
         # and at each unit vector defines the whole regression
         xs, us = smoothed[keep], pair.control[keep]
-        offsets = structure.rhs(np.zeros(k), xs, us)
+        offsets = rhs(np.zeros(PARAM_COUNT), xs, us)
         rows = np.column_stack(
-            [structure.rhs(e_j, xs, us) - offsets for e_j in np.eye(k)]
+            [rhs(e_j, xs, us) - offsets for e_j in np.eye(PARAM_COUNT)]
         )
         _check_identifiable(rows)
         rng = np.random.default_rng(stream)
         p = _sgd_minimize(targets[keep], rows, offsets, config.sgd, rng)
-        rmse = integration_rmse(
-            structure, OdeParams.single(p, n), pair, abs_bound=bound
-        )
+        rmse = integration_rmse(OdeParams.single(p, n), pair, abs_bound=bound)
         candidates.append(FitCandidate(tuple(float(v) for v in p), rmse, float(q)))
     candidates.sort(key=lambda c: c.rmse)
     return candidates
@@ -534,7 +504,7 @@ def _candidate_box(candidates):
     return lo - 0.5 * span, hi + 0.5 * span
 
 
-def refine_pso(candidates, pair, structure, config=None):
+def refine_pso(candidates, pair, config=None):
     """Particle-swarm refinement of the integration RMSE.
 
     The swarm starts from all candidates plus uniform samples in a box
@@ -569,9 +539,7 @@ def refine_pso(candidates, pair, structure, config=None):
     # evaluated after they move
     pbest = x.copy()
     pbest_f = np.full(n_particles, math.inf)
-    pbest_f[: len(cand)] = integration_rmse(
-        structure, x[: len(cand)], pair, abs_bound=bound
-    )
+    pbest_f[: len(cand)] = integration_rmse(x[: len(cand)], pair, abs_bound=bound)
     g_idx = int(np.argmin(pbest_f))
     gbest, gbest_f = pbest[g_idx].copy(), float(pbest_f[g_idx])
 
@@ -582,7 +550,7 @@ def refine_pso(candidates, pair, structure, config=None):
              + config.cognitive * r1 * (pbest - x)
              + config.social * r2 * (gbest - x))
         x = x + v
-        fitness = integration_rmse(structure, x, pair, abs_bound=bound)
+        fitness = integration_rmse(x, pair, abs_bound=bound)
         improved = fitness < pbest_f
         pbest[improved] = x[improved]
         pbest_f[improved] = fitness[improved]
@@ -598,7 +566,7 @@ def refine_pso(candidates, pair, structure, config=None):
 # ---------------------------------------------------------------------------
 # full fit
 
-def fit(pair, structure=LINEAR1, config=None):
+def fit(pair, config=None):
     """Fit window-wise ODE parameters to a (control, dependent) pair.
 
     Runs the gradient stage over ``config.drop_fractions`` per window and
@@ -615,7 +583,6 @@ def fit(pair, structure=LINEAR1, config=None):
         raise ValueError("window bounds must cover the whole pair")
 
     windows = []
-    all_candidates = []
     dropped_weight = 0.0
     pso_used = False
     for w_idx, (start, end) in enumerate(bounds):
@@ -623,38 +590,34 @@ def fit(pair, structure=LINEAR1, config=None):
             pair.control[start:end], pair.dependent[start:end], pair.sample_period
         )
         sub_config = replace(config, seed=_seed_entropy(config.seed) + 977 * w_idx)
-        cands = fit_gradient_sgd(sub, structure, config.drop_fractions, sub_config)
-        best_params, best_rmse, best_q = cands[0]
+        cands = fit_gradient_sgd(sub, config.drop_fractions, sub_config)
+        best_params, _, best_q = cands[0]
         if config.use_pso:
             pso_cfg = replace(config.pso, seed=_seed_entropy(config.pso.seed) + w_idx)
-            best_params, best_rmse = refine_pso(
-                [c.params for c in cands], sub, structure, pso_cfg
-            )
+            best_params, _ = refine_pso([c.params for c in cands], sub, pso_cfg)
             pso_used = True
         windows.append((start, end, best_params))
-        all_candidates.extend(cands)
         dropped_weight += best_q * (end - start)
 
     params = OdeParams(windows)
-    rmse = integration_rmse(structure, params, pair)
+    rmse = integration_rmse(params, pair)
     return FitReport(
         params=params,
         rmse=rmse,
-        candidates=sorted(all_candidates, key=lambda c: c.rmse),
         dropped_fraction=dropped_weight / n,
         pso_used=pso_used,
-        notes=stability_notes(structure, params),
+        notes=stability_notes(params),
     )
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def params_to_dict(structure, params, **meta):
+def params_to_dict(params, **meta):
     doc = {
         "version": 1,
         "kind": "ode-model",
-        "structure": structure.id,
+        "structure": STRUCTURE_ID,
         "windows": [
             {"start": s, "end": e, "params": list(p)} for s, e, p in params.windows
         ],
@@ -666,6 +629,7 @@ def params_to_dict(structure, params, **meta):
 def params_from_dict(doc):
     if doc.get("kind") != "ode-model":
         raise ValueError("not an ODE model document")
-    structure = get_structure(doc["structure"])
-    windows = [(w["start"], w["end"], tuple(w["params"])) for w in doc["windows"]]
-    return structure, OdeParams(_check_arity(structure, windows))
+    if doc["structure"] != STRUCTURE_ID:
+        raise ValueError(f"unknown ODE structure {doc['structure']!r}")
+    return OdeParams(
+        [(w["start"], w["end"], tuple(w["params"])) for w in doc["windows"]])

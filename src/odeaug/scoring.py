@@ -223,18 +223,6 @@ def score_series(net, config, scorer, series):
     return score_many(net, config, scorer, [series])[0]
 
 
-def detect(net, config, scorer, series):
-    """Boolean anomaly mask: log-likelihood strictly below the threshold.
-
-    The first ``prediction_length`` points have no error vector and are
-    labeled normal by convention.
-    """
-    if scorer.threshold is None:
-        raise ValueError("scorer threshold is not set; run select_threshold first")
-    scores = score_series(net, config, scorer, series)
-    return scores < scorer.threshold
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

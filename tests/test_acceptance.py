@@ -15,7 +15,7 @@ from odeaug.benchmark import BenchmarkConfig, gen_benchmark
 from odeaug.experiment import augmentation_curve, run_experiment
 from odeaug.lstm import PredictorConfig, init_network, loss_and_gradients
 from odeaug.metrics import prf_metrics
-from odeaug.ode import (LINEAR1, FitConfig, OdeParams, PsoConfig, SeriesPair,
+from odeaug.ode import (FitConfig, OdeParams, PsoConfig, SeriesPair,
                         fit, fit_gradient_sgd, integrate, refine_pso,
                         _retained_indices)
 from odeaug.scoring import (GaussianScorer, fit_gaussian, log_likelihood,
@@ -42,7 +42,7 @@ def synthetic_pair(params, n=400, dt=0.1, noise=0.0, seed=0):
         high = not high
     p0, p1, p2 = params
     x0 = (p0 * u[0] + p2) / p1
-    x = integrate(LINEAR1, OdeParams.single(params, n), u, x0, dt)
+    x = integrate(OdeParams.single(params, n), x0, u, dt)
     if noise > 0:
         x = x + rng.normal(0.0, noise * (x.max() - x.min()), n)
     return SeriesPair(u, x, dt)
@@ -90,8 +90,7 @@ def test_criterion_3_ode_integration():
 
     def max_err(dt):
         n = int(round(10.0 / dt)) + 1
-        traj = integrate(LINEAR1, OdeParams.single((1.0, 1.0, 0.0), n),
-                         np.ones(n), 0.0, dt)
+        traj = integrate(OdeParams.single((1.0, 1.0, 0.0), n), 0.0, np.ones(n), dt)
         return float(np.max(np.abs(traj - (1.0 - np.exp(-np.arange(n) * dt)))))
 
     err = max_err(0.01)
@@ -109,7 +108,7 @@ def test_criterion_4_fit_recovery():
         ok = True
         for noise, tol in ((0.0, 0.05), (0.01, 0.15)):
             pair = synthetic_pair(true, noise=noise, seed=1000 * (1 + int(noise > 0)) + seed)
-            rep = fit(pair, LINEAR1, FitConfig(seed=seed))
+            rep = fit(pair, FitConfig(seed=seed))
             got = rep.params.windows[0][2]
             rel = max(abs(g - t) / abs(t) for g, t in zip(got, true))
             ok = ok and rel <= tol
@@ -122,7 +121,7 @@ def test_criterion_5_sgd_oracle_equivalence():
     started = time.time()
     config = FitConfig(seed=3)
     pair = synthetic_pair((1.5, 0.8, 0.2), n=500, seed=7)
-    cands = fit_gradient_sgd(pair, LINEAR1, (0.05, 0.1, 0.2), config)
+    cands = fit_gradient_sgd(pair, (0.05, 0.1, 0.2), config)
     smoothed = moving_average(pair.dependent, config.smooth_window)
     targets = derivative(smoothed, pair.sample_period, 1)
     worst = 0.0
@@ -144,14 +143,14 @@ def test_criterion_6_pso_contract():
     details = []
     for seed, noise in ((1, 0.0), (2, 0.01), (3, 0.03)):
         pair = synthetic_pair((1.5, 0.8, 0.2), noise=noise, seed=seed)
-        cands = fit_gradient_sgd(pair, LINEAR1, (0.05, 0.2), FitConfig(seed=seed))
-        _, rmse = refine_pso([c.params for c in cands], pair, LINEAR1,
+        cands = fit_gradient_sgd(pair, (0.05, 0.2), FitConfig(seed=seed))
+        _, rmse = refine_pso([c.params for c in cands], pair,
                              PsoConfig(seed=seed, iterations=30))
         ok = ok and rmse <= cands[0].rmse + 1e-15
         details.append(f"{rmse:.4g}<={cands[0].rmse:.4g}")
     single = (1.4, 0.75, 0.18)
     params0, _ = refine_pso([single], synthetic_pair((1.5, 0.8, 0.2), seed=4),
-                            LINEAR1, PsoConfig(iterations=0))
+                            PsoConfig(iterations=0))
     ok = ok and params0 == single
     report(6, "swarm refinement never worse; 0 iterations is identity",
            ok, started, "; ".join(details))

@@ -7,7 +7,7 @@ from odeaug.anomalies import (AnomalyKind, AnomalySpec, inject,
                               pick_injection_regions)
 from odeaug.control import State, segment_control
 from odeaug.errors import PlacementError
-from odeaug.ode import LINEAR1, OdeParams, integrate
+from odeaug.ode import OdeParams, integrate
 from odeaug.series import TimeSeries
 
 
@@ -22,10 +22,10 @@ def plant_series(n=300, dt=0.1, seed=0, params=(2.0, 0.5, 0.1)):
         pos += dur
         high = not high
     x0 = (params[0] * u[0] + params[2]) / params[1]
-    x = integrate(LINEAR1, OdeParams.single(params, n), u, x0, dt)
+    x = integrate(OdeParams.single(params, n), x0, u, dt)
     series = TimeSeries(["u", "x"], dt, np.column_stack([u, x]))
     seg = segment_control(series, "u", 0.5, min_duration=2)
-    model = (LINEAR1, OdeParams.single(params, n))
+    model = OdeParams.single(params, n)
     return series, seg, model
 
 
@@ -44,7 +44,10 @@ class TestPickInjectionRegions:
         series, seg, _ = plant_series()
         spec = AnomalySpec(AnomalyKind.NOISE, duration=30, count=4, seed=3)
         regions = pick_injection_regions(seg, spec, len(series))
-        low_mask = ~seg.state_mask(len(series))
+        low_mask = np.zeros(len(series), dtype=bool)
+        for s in seg.segments:
+            if s.state is State.LOW:
+                low_mask[s.start:s.end] = True
         touched_low = any(low_mask[start:end].any() for start, end in regions)
         assert touched_low
 
@@ -179,15 +182,14 @@ class TestInject:
         spec = AnomalySpec(AnomalyKind.WRONG_STATE, duration=20, count=1, seed=13)
         out, report = inject(series, seg, model, spec, "x")
         start, end, _ = report.regions[0]
-        structure, params = model
         low_segs = [s for s in seg.segments if s.state is State.LOW]
         weights = np.array([s.duration for s in low_segs], dtype=float)
         low_level = float(
             np.sum([s.level * s.duration for s in low_segs]) / weights.sum()
         )
         expected = integrate(
-            structure, OdeParams.single(params.windows[0][2], end - start),
-            np.full(end - start, low_level), series.channel("x")[start],
+            OdeParams.single(model.windows[0][2], end - start),
+            series.channel("x")[start], np.full(end - start, low_level),
             series.sample_period,
         )
         assert np.allclose(out.channel("x")[start:end], expected, atol=1e-9)

@@ -6,7 +6,7 @@ import pytest
 from odeaug.augment import (AugmentationPlan, FittedPair, generate_series_pair,
                             generate_with_record)
 from odeaug.control import PairFeatures, build_profile, segment_control
-from odeaug.ode import LINEAR1, OdeParams
+from odeaug.ode import OdeParams
 from odeaug.series import TimeSeries
 
 
@@ -30,7 +30,7 @@ def make_plan(count=4, length=300, seed=11):
     ]
     return AugmentationPlan(
         profile=profile, fitted=fitted, count=count, length=length, seed=seed,
-        sample_period=0.1, structure=LINEAR1, channel_names=("u", "x"),
+        sample_period=0.1, channel_names=("u", "x"),
     )
 
 

@@ -463,6 +463,41 @@ class TestPipelineHandoff:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command, document, key", [
+        ("augment", "model", "sample_period"),
+        ("augment", "model", "windows"),
+        ("augment", "profile", "states"),
+        ("inject", "model", "windows"),
+        ("detect", "net", "config"),
+    ])
+    def test_document_missing_key_names_file_and_key(
+            self, artifacts, data_dir, tmp_path, capsys, command, document,
+            key):
+        paths = {"model": artifacts["models"][0],
+                 "profile": artifacts["profile"], "net": artifacts["net"]}
+        doc = json.load(open(paths[document]))
+        del doc[key]
+        broken = tmp_path / f"broken_{document}.json"
+        broken.write_text(json.dumps(doc))
+        paths[document] = str(broken)
+        out = tmp_path / "out"
+        argv = {
+            "augment": ["--profile", paths["profile"], "--models",
+                        paths["model"], "--count", "2", "--length", "100"],
+            "inject": ["--data", os.path.join(data_dir, "small",
+                                              "series_000.csv"),
+                       "--channel", "response", "--control", "control",
+                       "--kind", "wrong_state", "--model", paths["model"]],
+            "detect": ["--net", paths["net"], "--scorer", artifacts["scorer"],
+                       "--data", os.path.join(data_dir, "test")],
+        }[command]
+        assert run(command, *argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert str(broken) in err[0] and repr(key) in err[0]
+        assert not out.exists()
+
+
 class TestExperimentCommands:
     def test_experiment_and_curve(self, tmp_path, bench_config):
         exp_dir = tmp_path / "exp"

@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 from odeaug.control import (AUTO, PairFeatures, State, build_profile,
-                            pair_features, sample_control, sample_segments,
+                            pair_features, render_segments, sample_segments,
                             segment_control, select_donor)
 from odeaug.series import TimeSeries
 
 
 def series_of(values, dt=1.0):
     return TimeSeries(["u"], dt, np.asarray(values, dtype=float)[:, None])
+
+
+def sample_control(profile, length, seed):
+    """A control channel drawn from ``profile`` as augmentation draws it."""
+    return render_segments(sample_segments(profile, length, seed), length)
 
 
 class TestSegmentControl:
@@ -66,7 +71,9 @@ class TestSegmentControl:
         rng = np.random.default_rng(2)
         y = (rng.random(200) > 0.5).astype(float)
         seg = segment_control(series_of(y), "u", threshold=0.5, min_duration=1)
-        mask = seg.state_mask(200)
+        mask = np.zeros(200, dtype=bool)
+        for s in seg.segments:
+            mask[s.start:s.end] = s.state is State.HIGH
         assert np.array_equal(mask, y > 0.5)
 
     def test_min_duration_respected(self):

@@ -18,7 +18,7 @@ from odeaug.control import (PairFeatures, State, build_profile,
                             profile_from_dict, profile_to_dict, segment_control)
 from odeaug.lstm import (PredictorConfig, init_network, network_from_dict,
                          network_to_dict)
-from odeaug.ode import (LINEAR1, FitConfig, OdeParams, PsoConfig, SgdConfig,
+from odeaug.ode import (FitConfig, OdeParams, PsoConfig, SgdConfig,
                         params_from_dict, params_to_dict)
 from odeaug.scoring import (fit_gaussian, log_likelihood, scorer_from_dict,
                             scorer_to_dict)
@@ -71,10 +71,9 @@ def two_state_series(rng, n=300):
 
 def ode_model(rng, tmp_path):
     params = random_windows(rng)
-    doc = through_json(params_to_dict(LINEAR1, params, rmse=0.5))
-    structure, back = params_from_dict(doc)
-    assert structure is LINEAR1
-    assert doc["rmse"] == 0.5
+    doc = through_json(params_to_dict(params, rmse=0.5))
+    back = params_from_dict(doc)
+    assert (doc["structure"], doc["rmse"]) == ("linear1", 0.5)
     assert_same(params, back)
 
 
@@ -82,10 +81,10 @@ def fitted_pair(rng, tmp_path):
     pair = FittedPair(PairFeatures(*(float(v) for v in rng.uniform(1, 50, 4))),
                       random_windows(rng), float(rng.normal()))
     doc = through_json(
-        fitted_pair_to_dict(pair, LINEAR1, rmse=0.5, sample_period=0.1))
-    back, structure = fitted_pair_from_dict(doc)
-    assert structure is LINEAR1
-    assert (doc["rmse"], doc["sample_period"]) == (0.5, 0.1)
+        fitted_pair_to_dict(pair, rmse=0.5, sample_period=0.1))
+    back = fitted_pair_from_dict(doc)
+    assert (doc["structure"], doc["rmse"], doc["sample_period"]) == (
+        "linear1", 0.5, 0.1)
     assert_same(pair, back)
 
 

@@ -48,7 +48,9 @@ class TestGenBenchmark:
         config = tiny_config(seed=3)
         bench = gen_benchmark(config)
         frac = float(np.mean([s.labels.mean() for s in bench.test]))
-        target = config.target_anomaly_fraction
+        # the expected labeled-point fraction of an anomalous set
+        target = (config.injections_per_series * config.anomaly_duration
+                  / config.series_length)
         assert abs(frac - target) / target <= 0.5
 
     def test_seeded_determinism(self):

@@ -8,10 +8,10 @@ import pytest
 
 from odeaug.errors import (DivergenceError, RefinementFailedError,
                            UnidentifiableError)
-from odeaug.ode import (LINEAR1, FitConfig, OdeParams, OdeStructure, PsoConfig,
-                        SeriesPair, SgdConfig, fit, fit_gradient_sgd, integrate,
-                        integration_rmse, params_from_dict, params_to_dict,
-                        refine_pso, stability_notes, _candidate_box,
+from odeaug.ode import (FitConfig, OdeParams, PsoConfig, SeriesPair, SgdConfig,
+                        fit, fit_gradient_sgd, integrate, integration_rmse,
+                        params_from_dict, params_to_dict, refine_pso, rhs,
+                        stability_notes, _candidate_box,
                         _divergence_bound, _retained_indices, _seed_entropy,
                         _sgd_minimize)
 from odeaug.series import derivative, moving_average
@@ -30,23 +30,23 @@ def two_level_pair(params, n=400, dt=0.1, noise=0.0, seed=7):
         high = not high
     p0, p1, p2 = params
     x0 = (p0 * u[0] + p2) / p1
-    x = integrate(LINEAR1, OdeParams.single(params, n), u, x0, dt)
+    x = integrate(OdeParams.single(params, n), x0, u, dt)
     if noise > 0:
         x = x + rng.normal(0.0, noise * (x.max() - x.min()), n)
     return SeriesPair(u, x, dt)
 
 
 class TestEvaluateRhs:
-    """``LINEAR1.rhs(params, x, u)`` against hand-computed values."""
+    """``rhs(params, x, u)`` against hand-computed values."""
 
     def test_direct_substitution(self):
-        assert LINEAR1.rhs((1, 1, 0), 0.0, 1.0) == pytest.approx(1.0)
+        assert rhs((1, 1, 0), 0.0, 1.0) == pytest.approx(1.0)
 
     def test_equilibrium_point(self):
-        assert LINEAR1.rhs((1, 1, 0), 1.0, 1.0) == pytest.approx(0.0)
+        assert rhs((1, 1, 0), 1.0, 1.0) == pytest.approx(0.0)
 
     def test_general_case(self):
-        assert LINEAR1.rhs((2, 0.5, 0.1), 0.4, 0.3) == pytest.approx(0.5)
+        assert rhs((2, 0.5, 0.1), 0.4, 0.3) == pytest.approx(0.5)
 
 
 class TestOdeParams:
@@ -56,36 +56,34 @@ class TestOdeParams:
 
     def test_stability_note_for_nonpositive_decay(self):
         p = OdeParams.single((1.0, -0.5, 0.0), 10)
-        notes = stability_notes(LINEAR1, p)
+        notes = stability_notes(p)
         assert len(notes) == 1 and "decay" in notes[0]
-        assert stability_notes(LINEAR1, OdeParams.single((1, 1, 0), 10)) == []
+        assert stability_notes(OdeParams.single((1, 1, 0), 10)) == []
 
 
 class TestIntegrate:
     def test_matches_closed_form_exponential(self):
         n, dt = 1001, 0.01
-        traj = integrate(LINEAR1, OdeParams.single((1, 1, 0), n), np.ones(n), 0.0, dt)
+        traj = integrate(OdeParams.single((1, 1, 0), n), 0.0, np.ones(n), dt)
         t = np.arange(n) * dt
         assert np.max(np.abs(traj - (1.0 - np.exp(-t)))) < 1e-6
 
     def test_zero_rhs_is_constant(self):
-        traj = integrate(LINEAR1, OdeParams.single((0, 0, 0), 50),
-                         np.linspace(0, 1, 50), 3.5, 0.1)
+        traj = integrate(OdeParams.single((0, 0, 0), 50), 3.5,
+                         np.linspace(0, 1, 50), 0.1)
         assert np.allclose(traj, 3.5)
 
     def test_equilibrium_start_stays_constant(self):
         p = (2.0, 0.5, 0.1)
         u = np.full(80, 0.6)
         x_eq = (p[0] * 0.6 + p[2]) / p[1]
-        traj = integrate(LINEAR1, OdeParams.single(p, 80), u, x_eq, 0.05)
+        traj = integrate(OdeParams.single(p, 80), x_eq, u, 0.05)
         assert np.allclose(traj, x_eq, atol=1e-12)
 
     def test_fourth_order_convergence(self):
         def max_err(dt):
             n = int(round(10.0 / dt)) + 1
-            traj = integrate(
-                LINEAR1, OdeParams.single((1, 1, 0), n), np.ones(n), 0.0, dt
-            )
+            traj = integrate(OdeParams.single((1, 1, 0), n), 0.0, np.ones(n), dt)
             t = np.arange(n) * dt
             return np.max(np.abs(traj - (1.0 - np.exp(-t))))
 
@@ -95,14 +93,14 @@ class TestIntegrate:
     def test_divergence_reports_step_index(self):
         # positive feedback blows up quickly
         with pytest.raises(DivergenceError) as err:
-            integrate(LINEAR1, OdeParams.single((0.0, -80.0, 0.0), 2000),
-                      np.zeros(2000), 1.0, 0.1, abs_bound=1e6)
+            integrate(OdeParams.single((0.0, -80.0, 0.0), 2000), 1.0,
+                      np.zeros(2000), 0.1, abs_bound=1e6)
         assert err.value.step_index > 0
 
     def test_array_params_match_tuple_params(self):
         u = np.linspace(0.1, 0.9, 60)
-        from_array = integrate(LINEAR1, np.array([1.0, 0.5, 0.0]), u, 0.2, 0.1)
-        from_tuple = integrate(LINEAR1, (1.0, 0.5, 0.0), u, 0.2, 0.1)
+        from_array = integrate(np.array([1.0, 0.5, 0.0]), 0.2, u, 0.1)
+        from_tuple = integrate((1.0, 0.5, 0.0), 0.2, u, 0.1)
         assert from_array.tobytes() == from_tuple.tobytes()
 
     def test_out_of_span_steps_clamp_to_last_window(self):
@@ -115,19 +113,19 @@ class TestIntegrate:
         for i in range(39):
             p = windows[0][2] if i < 10 else windows[1][2]
             x = expected[-1]
-            k1 = LINEAR1.rhs(p, x, u[i])
-            k2 = LINEAR1.rhs(p, x + 0.5 * dt * k1, u[i])
-            k3 = LINEAR1.rhs(p, x + 0.5 * dt * k2, u[i])
-            k4 = LINEAR1.rhs(p, x + dt * k3, u[i])
+            k1 = rhs(p, x, u[i])
+            k2 = rhs(p, x + 0.5 * dt * k1, u[i])
+            k3 = rhs(p, x + 0.5 * dt * k2, u[i])
+            k4 = rhs(p, x + dt * k3, u[i])
             expected.append(x + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4))
-        traj = integrate(LINEAR1, OdeParams(windows), u, 0.2, dt)
+        traj = integrate(OdeParams(windows), 0.2, u, dt)
         assert traj.tobytes() == np.array(expected).tobytes()
 
     def test_monotone_approach_to_equilibrium(self):
         p = (2.0, 0.5, 0.1)
         u = np.full(400, 0.9)
         x_eq = (p[0] * 0.9 + p[2]) / p[1]
-        traj = integrate(LINEAR1, OdeParams.single(p, 400), u, 0.0, 0.1)
+        traj = integrate(OdeParams.single(p, 400), 0.0, u, 0.1)
         diffs = np.diff(traj)
         assert np.all(diffs > -1e-12)
         assert np.all(traj <= x_eq + 1e-9)
@@ -147,20 +145,20 @@ class TestFitGradientSgd:
     def test_round_trip_recovers_parameters(self):
         true = (1.5, 0.8, 0.2)
         pair = two_level_pair(true, n=500)
-        cands = fit_gradient_sgd(pair, LINEAR1, (0.05, 0.1, 0.2), FitConfig(seed=3))
+        cands = fit_gradient_sgd(pair, (0.05, 0.1, 0.2), FitConfig(seed=3))
         best = cands[0].params
         assert all(abs(b - t) / abs(t) < 0.05 for b, t in zip(best, true))
 
     def test_candidates_sorted_by_rmse(self):
         pair = two_level_pair((1.5, 0.8, 0.2))
-        cands = fit_gradient_sgd(pair, LINEAR1, (0.0, 0.1), FitConfig(seed=1))
+        cands = fit_gradient_sgd(pair, (0.0, 0.1), FitConfig(seed=1))
         rmses = [c.rmse for c in cands]
         assert rmses == sorted(rmses)
 
     def test_matches_normal_equations_oracle(self):
         config = FitConfig(seed=3)
         pair = two_level_pair((1.5, 0.8, 0.2), n=500)
-        cands = fit_gradient_sgd(pair, LINEAR1, (0.05, 0.1, 0.2), config)
+        cands = fit_gradient_sgd(pair, (0.05, 0.1, 0.2), config)
         for cand in cands:
             theta = normal_equations_oracle(pair, cand.drop_fraction, config)
             assert np.max(np.abs(np.asarray(cand.params) - theta)) < 1e-3
@@ -170,64 +168,56 @@ class TestFitGradientSgd:
         x = np.full(100, (1.5 * 0.5 + 0.2) / 0.8)
         pair = SeriesPair(u, x, 0.1)
         with pytest.raises(UnidentifiableError):
-            fit_gradient_sgd(pair, LINEAR1, (0.0,), FitConfig())
+            fit_gradient_sgd(pair, (0.0,), FitConfig())
 
     def test_bad_drop_fraction_rejected(self):
         pair = two_level_pair((1.5, 0.8, 0.2))
         with pytest.raises(ValueError, match="fraction"):
-            fit_gradient_sgd(pair, LINEAR1, (0.7,), FitConfig())
+            fit_gradient_sgd(pair, (0.7,), FitConfig())
 
     def test_too_few_points_rejected(self):
         pair = two_level_pair((1.5, 0.8, 0.2), n=40)
         with pytest.raises(ValueError, match="retained"):
-            fit_gradient_sgd(pair, LINEAR1, (0.5,), FitConfig())
+            fit_gradient_sgd(pair, (0.5,), FitConfig())
 
     def test_huge_learning_rate_diverges(self):
         pair = two_level_pair((1.5, 0.8, 0.2))
         config = FitConfig(sgd=SgdConfig(learning_rate=1e3, epochs=100))
         with pytest.raises(UnidentifiableError, match="diverged"):
-            fit_gradient_sgd(pair, LINEAR1, (0.1,), config)
-
-    @pytest.mark.parametrize("param_count", [2, 4])
-    def test_structure_without_three_parameters_rejected(self, param_count):
-        structure = OdeStructure("other", LINEAR1.rhs, param_count)
-        pair = two_level_pair((1.5, 0.8, 0.2))
-        with pytest.raises(ValueError, match="3-parameter"):
-            fit_gradient_sgd(pair, structure, (0.1,), FitConfig())
+            fit_gradient_sgd(pair, (0.1,), config)
 
 
 class TestRefinePso:
     def test_never_worse_than_best_candidate(self):
         pair = two_level_pair((1.5, 0.8, 0.2), noise=0.01, seed=5)
-        cands = fit_gradient_sgd(pair, LINEAR1, (0.05, 0.2), FitConfig(seed=1))
+        cands = fit_gradient_sgd(pair, (0.05, 0.2), FitConfig(seed=1))
         refined, rmse = refine_pso(
-            [c.params for c in cands], pair, LINEAR1,
-            PsoConfig(seed=2, iterations=40),
+            [c.params for c in cands], pair, PsoConfig(seed=2, iterations=40),
         )
         assert rmse <= cands[0].rmse + 1e-15
 
     def test_true_candidate_keeps_zero_rmse(self):
         true = (1.5, 0.8, 0.2)
         pair = two_level_pair(true, seed=6)
-        base = integration_rmse(LINEAR1, OdeParams.single(true, len(pair)), pair)
-        _, rmse = refine_pso([true, (2.0, 1.0, 0.3)], pair, LINEAR1,
+        base = integration_rmse(OdeParams.single(true, len(pair)), pair)
+        _, rmse = refine_pso([true, (2.0, 1.0, 0.3)], pair,
                              PsoConfig(seed=3, iterations=20))
         assert rmse <= base + 1e-15
 
     def test_zero_iterations_is_identity(self):
         pair = two_level_pair((1.5, 0.8, 0.2))
         cand = (1.4, 0.75, 0.18)
-        params, rmse = refine_pso([cand], pair, LINEAR1, PsoConfig(iterations=0))
+        params, rmse = refine_pso([cand], pair, PsoConfig(iterations=0))
         assert params == cand
         assert rmse == pytest.approx(
-            integration_rmse(LINEAR1, OdeParams.single(cand, len(pair)), pair)
+            integration_rmse(OdeParams.single(cand, len(pair)), pair)
         )
 
     def test_monotone_in_iteration_count(self):
         pair = two_level_pair((1.5, 0.8, 0.2), noise=0.02, seed=9)
         cands = [(1.0, 0.5, 0.0), (2.0, 1.2, 0.4)]
         rmses = [
-            refine_pso(cands, pair, LINEAR1, PsoConfig(seed=4, iterations=k))[1]
+            refine_pso(cands, pair, PsoConfig(seed=4, iterations=k))[1]
             for k in (0, 5, 15, 30)
         ]
         assert all(a >= b - 1e-15 for a, b in zip(rmses, rmses[1:]))
@@ -236,7 +226,7 @@ class TestRefinePso:
         pair = two_level_pair((1.5, 0.8, 0.2), n=2000)
         bad = [(0.0, -80.0, 0.0)]
         with pytest.raises(RefinementFailedError) as err:
-            refine_pso(bad, pair, LINEAR1, PsoConfig(seed=1, iterations=0))
+            refine_pso(bad, pair, PsoConfig(seed=1, iterations=0))
         assert err.value.best_params == bad[0]
 
 
@@ -244,27 +234,27 @@ class TestFit:
     def test_round_trip_noiseless(self):
         true = (1.5, 0.8, 0.2)
         pair = two_level_pair(true, n=500, seed=11)
-        report = fit(pair, LINEAR1, FitConfig(seed=0))
+        report = fit(pair, FitConfig(seed=0))
         got = report.params.windows[0][2]
         assert all(abs(g - t) / abs(t) < 0.05 for g, t in zip(got, true))
         assert not report.pso_used
 
     def test_rmse_self_consistent(self):
         pair = two_level_pair((1.5, 0.8, 0.2), noise=0.01, seed=13)
-        report = fit(pair, LINEAR1, FitConfig(seed=0))
-        again = integration_rmse(LINEAR1, report.params, pair)
+        report = fit(pair, FitConfig(seed=0))
+        again = integration_rmse(report.params, pair)
         assert abs(report.rmse - again) <= 1e-9
 
     def test_short_pair_rejected(self):
         pair = SeriesPair(np.ones(10), np.ones(10), 0.1)
         with pytest.raises(ValueError):
-            fit(pair, LINEAR1, FitConfig())
+            fit(pair, FitConfig())
 
     def test_segment_windows_mode(self):
         pair = two_level_pair((1.5, 0.8, 0.2), n=500, seed=17)
         half = len(pair) // 2
         config = FitConfig(seed=0, window_bounds=[(0, half), (half, len(pair))])
-        report = fit(pair, LINEAR1, config)
+        report = fit(pair, config)
         assert len(report.params.windows) == 2
         windows = report.params.windows
         assert (windows[0][0], windows[-1][1]) == (0, len(pair))
@@ -274,9 +264,12 @@ class TestFit:
 
     def test_dropped_fraction_reported(self):
         pair = two_level_pair((1.5, 0.8, 0.2), seed=19)
-        report = fit(pair, LINEAR1, FitConfig(seed=0))
+        config = FitConfig(seed=0)
+        report = fit(pair, config)
         assert 0.0 <= report.dropped_fraction < 0.5
-        assert report.dropped_fraction == report.candidates[0].drop_fraction
+        # one window: the best gradient-stage candidate's fraction
+        best = fit_gradient_sgd(pair, config.drop_fractions, config)[0]
+        assert report.dropped_fraction == best.drop_fraction
 
 
 @pytest.mark.parametrize("config, name, value", [
@@ -309,23 +302,26 @@ def test_fit_config_rejects_bad_value(config, name, value):
 
 class TestParameterArity:
     def test_document_with_short_window_rejected(self):
-        doc = params_to_dict(LINEAR1, OdeParams.single((1.0, 0.5, 0.0), 10))
+        doc = params_to_dict(OdeParams.single((1.0, 0.5, 0.0), 10))
         doc["windows"][0]["params"] = [1.0, 0.5]
         with pytest.raises(ValueError, match="expects 3 parameters"):
             params_from_dict(doc)
 
     @pytest.mark.parametrize("params", [
         (1.0, 0.5),
-        OdeParams([(0, 5, (1.0, 0.5, 0.0)), (5, 10, (1.0, 0.5, 0.0, 2.0))]),
+        [(0, 5, (1.0, 0.5, 0.0)), (5, 10, (1.0, 0.5, 0.0, 2.0))],
         np.ones((4, 2)),
     ])
     def test_integrate_rejects_wrong_arity(self, params):
         with pytest.raises(ValueError, match="expects 3 parameters"):
-            integrate(LINEAR1, params, np.ones(10), 0.0, 0.1)
+            # a list of windows is checked as it becomes OdeParams
+            if isinstance(params, list):
+                params = OdeParams(params)
+            integrate(params, 0.0, np.ones(10), 0.1)
 
     def test_empty_control_reported_before_params(self):
         with pytest.raises(ValueError, match="at least one sample"):
-            integrate(LINEAR1, (1.0, 0.5, 0.0), np.array([]), 0.0, 0.1)
+            integrate((1.0, 0.5, 0.0), 0.0, np.array([]), 0.1)
 
 
 def reference_pso(candidates, pair, config):
@@ -334,9 +330,8 @@ def reference_pso(candidates, pair, config):
     bound = _divergence_bound(pair.dependent)
 
     def objective(vec):
-        return integration_rmse(
-            LINEAR1, OdeParams.single(vec, len(pair)), pair, abs_bound=bound
-        )
+        return integration_rmse(OdeParams.single(vec, len(pair)), pair,
+                                abs_bound=bound)
 
     rng = np.random.default_rng(
         np.random.SeedSequence([_seed_entropy(config.seed), 202])
@@ -381,10 +376,10 @@ class TestSwarm:
             rng.uniform(0.5, 2.0, 9), rng.uniform(0.1, 1.5, 9),
             rng.uniform(-0.3, 0.3, 9),
         ])
-        traj = integrate(LINEAR1, swarm, u, 0.4, 0.1, abs_bound=1e6)
+        traj = integrate(swarm, 0.4, u, 0.1, abs_bound=1e6)
         assert traj.shape == (9, 257)
         for row, params in zip(traj, swarm):
-            single = integrate(LINEAR1, params, u, 0.4, 0.1, abs_bound=1e6)
+            single = integrate(params, 0.4, u, 0.1, abs_bound=1e6)
             assert row.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("abs_bound", [None, 100.0])
@@ -400,13 +395,13 @@ class TestSwarm:
             [2.0, 0.7, 0.1],
         ])
         pair = SeriesPair(u, np.linspace(1.0, 2.0, n), dt)
-        traj = integrate(LINEAR1, swarm, u, 1.0, dt, abs_bound=abs_bound)
-        rmse = integration_rmse(LINEAR1, swarm, pair, abs_bound=abs_bound)
+        traj = integrate(swarm, 1.0, u, dt, abs_bound=abs_bound)
+        rmse = integration_rmse(swarm, pair, abs_bound=abs_bound)
         assert rmse.dtype == np.float64 and rmse.shape == (5,)
         diverged = 0
         for row, params, score in zip(traj, swarm, rmse):
             try:
-                single = integrate(LINEAR1, params, u, 1.0, dt, abs_bound=abs_bound)
+                single = integrate(params, 1.0, u, dt, abs_bound=abs_bound)
             except DivergenceError as err:
                 diverged += 1
                 step = err.step_index
@@ -415,11 +410,10 @@ class TestSwarm:
                 assert score == np.inf
             else:
                 assert row.tobytes() == single.tobytes()
-                assert score == integration_rmse(LINEAR1, params, pair,
-                                                 abs_bound=abs_bound)
+                assert score == integration_rmse(params, pair, abs_bound=abs_bound)
         assert diverged == (2 if abs_bound is None else 3)
         # the pulse row crossed the bound and came back below it
-        back = integrate(LINEAR1, swarm[3], u, 1.0, dt)
+        back = integrate(swarm[3], 1.0, u, dt)
         assert np.max(back) > 100.0 > back[-1]
 
     @pytest.mark.parametrize("candidates, seed, iterations, some_diverge", [
@@ -430,7 +424,7 @@ class TestSwarm:
                                                   iterations, some_diverge):
         pair = two_level_pair((1.5, 0.8, 0.2), noise=0.02, seed=9)
         config = PsoConfig(seed=seed, iterations=iterations)
-        params, rmse = refine_pso(candidates, pair, LINEAR1, config)
+        params, rmse = refine_pso(candidates, pair, config)
         ref_params, ref_rmse, diverged = reference_pso(candidates, pair, config)
         assert params == ref_params
         assert rmse == ref_rmse
@@ -485,8 +479,8 @@ def sgd_design(pair, q, config):
     keep = _retained_indices(smoothed, pair.sample_period, q,
                              config.curvature_max_order)
     xs, us = smoothed[keep], pair.control[keep]
-    offsets = LINEAR1.rhs(np.zeros(3), xs, us)
-    rows = np.column_stack([LINEAR1.rhs(e_j, xs, us) - offsets
+    offsets = rhs(np.zeros(3), xs, us)
+    rows = np.column_stack([rhs(e_j, xs, us) - offsets
                             for e_j in np.eye(3)])
     return targets[keep], rows, offsets
 

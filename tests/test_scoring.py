@@ -1,17 +1,20 @@
 """Error vectors, Gaussian scorer, threshold selection, detection."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from odeaug.cli import main
 from odeaug.errors import DegenerateLabelsError
-from odeaug.lstm import PredictorConfig, init_network, predict
-from odeaug.scoring import (GaussianScorer, detect, error_vectors, fit_gaussian,
+from odeaug.experiment import detection_metrics
+from odeaug.lstm import PredictorConfig, init_network, network_to_dict, predict
+from odeaug.scoring import (GaussianScorer, error_vectors, fit_gaussian,
                             log_likelihood, log_likelihood_batch,
                             scorer_from_dict, scorer_to_dict, select_threshold)
 from odeaug.scoring import score_many, score_series
-from odeaug.series import TimeSeries
+from odeaug.series import TimeSeries, write_csv
 
 
 def identity_config(**overrides):
@@ -254,7 +257,28 @@ class TestSelectThreshold:
         assert tau == pytest.approx(3.5)
 
 
+def detect_argv(tmp_path, net, config, scorer, series):
+    """``odeaug detect`` arguments for ``series``, with its input files."""
+    net_path, scorer_path = tmp_path / "net.json", tmp_path / "scorer.json"
+    net_path.write_text(json.dumps(network_to_dict(net, config)))
+    scorer_path.write_text(json.dumps(scorer_to_dict(scorer)))
+    write_csv(series, str(tmp_path / "s.csv"))
+    return ["detect", "--net", str(net_path), "--scorer", str(scorer_path),
+            "--data", str(tmp_path / "s.csv"), "--out", str(tmp_path / "out")]
+
+
+def detect_flags(tmp_path, net, config, scorer, series):
+    """The flag column ``odeaug detect`` writes for ``series``."""
+    assert main(detect_argv(tmp_path, net, config, scorer, series)) == 0
+    rows = np.loadtxt(tmp_path / "out" / "s.detections.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    return rows[:, 2].astype(bool)
+
+
 class TestDetect:
+    """Flags are ``score < threshold``, as ``detect`` writes them and
+    ``detection_metrics`` counts them."""
+
     def _setup(self):
         config = identity_config(prediction_length=2)
         net = init_network(config)
@@ -264,33 +288,45 @@ class TestDetect:
         scorer = fit_gaussian(error_vectors(preds, series, config), ridge=1e-6)
         return config, net, series, scorer
 
-    def test_threshold_required(self):
+    def test_threshold_required(self, tmp_path, capsys):
         config, net, series, scorer = self._setup()
-        with pytest.raises(ValueError, match="threshold"):
-            detect(net, config, scorer, series)
+        assert main(detect_argv(tmp_path, net, config, scorer, series)) == 1
+        assert "threshold" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_first_horizon_points_normal(self):
+    def test_first_horizon_points_normal(self, tmp_path):
         config, net, series, scorer = self._setup()
         scorer.threshold = 1e9  # flag everything scoreable
-        mask = detect(net, config, scorer, series)
-        assert not mask[:2].any()
-        assert mask[2:].all()
+        flags = detect_flags(tmp_path, net, config, scorer, series)
+        assert not flags[:2].any()
+        assert flags[2:].all()
+        # the warm-up points score +inf, so they are never flagged
+        labeled = series.with_labels(np.ones(len(series), dtype=bool))
+        precision, recall, _ = detection_metrics(net, config, scorer, [labeled])
+        assert precision == 1.0
+        assert recall == pytest.approx((len(series) - 2) / len(series))
 
-    def test_boundary_is_strict(self):
+    def test_boundary_is_strict(self, tmp_path):
         config, net, series, scorer = self._setup()
         preds = predict(net, config, series)
         scores = log_likelihood_batch(scorer, error_vectors(preds, series, config))
         scorer.threshold = float(scores[0])
-        mask = detect(net, config, scorer, series)
+        flags = detect_flags(tmp_path, net, config, scorer, series)
         # row 0 scores point l
-        assert not mask[config.prediction_length]
+        assert not flags[config.prediction_length]
+        # a point scoring exactly the threshold is not counted as flagged
+        labels = np.zeros(len(series), dtype=bool)
+        labels[config.prediction_length] = True
+        _, recall, _ = detection_metrics(net, config, scorer,
+                                         [series.with_labels(labels)])
+        assert recall == 0.0
 
-    def test_invariant_under_monotone_transform_of_threshold(self):
+    def test_invariant_under_monotone_transform_of_threshold(self, tmp_path):
         config, net, series, scorer = self._setup()
         preds = predict(net, config, series)
         scores = log_likelihood_batch(scorer, error_vectors(preds, series, config))
         scorer.threshold = float(np.median(scores))
-        base = detect(net, config, scorer, series)
+        base = detect_flags(tmp_path, net, config, scorer, series)
         assert base[2:].any() and not base.all()
 
     def test_score_many_matches_one_series_calls(self):
@@ -306,7 +342,7 @@ class TestDetect:
                                   score_series(net, config, scorer, series))
         assert score_many(net, config, scorer, []) == []
 
-    def test_overflowed_score_is_flagged(self):
+    def test_overflowed_score_is_flagged(self, tmp_path):
         # a finite residual near the float maximum overflows the solve to
         # NaN; the point must score -inf and be flagged, not pass
         config = identity_config(prediction_length=3)
@@ -318,9 +354,9 @@ class TestDetect:
                                 threshold=-50.0)
         with np.errstate(all="ignore"):
             scores = score_series(net, config, scorer, series)
-            mask = detect(net, config, scorer, series)
+            flags = detect_flags(tmp_path, net, config, scorer, series)
         assert scores[10] == -math.inf
-        assert mask[10]
+        assert flags[10]
         assert not np.isnan(scores).any()
 
 
