@@ -11,9 +11,9 @@ from .anomalies import AnomalyKind, AnomalySpec, InjectionReport, inject, \
     pick_injection_regions
 from .augment import AugmentationPlan, FittedPair, generate_series_pair
 from .benchmark import Benchmark, BenchmarkConfig, LstmSettings, gen_benchmark
-from .control import (AUTO, ControlProfile, PairFeatures, State,
-                      StateSegmentation, build_profile, pair_features,
-                      segment_control, select_donor)
+from .control import (AUTO, ControlProfile, PairFeatures, StateSegmentation,
+                      build_profile, pair_features, segment_control,
+                      select_donor)
 from .experiment import (REGIMES, augmentation_curve, build_generated,
                          run_experiment)
 from .lstm import (LstmNetwork, PredictorConfig, init_network, predict,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import State
 from .errors import PlacementError
 from .ode import OdeParams, integrate
 
@@ -90,12 +89,6 @@ class InjectionReport:
     mask: np.ndarray
 
 
-def _eligible_segments(segmentation, kind):
-    if kind in HIGH_STATE_KINDS:
-        return [s for s in segmentation.segments if s.state is State.HIGH]
-    return list(segmentation.segments)
-
-
 def _draw_fixed_duration_regions(starts_pool, duration, count, rng):
     regions = []
     pool = list(starts_pool)
@@ -126,11 +119,12 @@ def pick_injection_regions(segmentation, spec, series_length, rng=None):
     if isinstance(spec.duration, int):
         d = spec.duration
         if kind in HIGH_STATE_KINDS:
+            hosts = segmentation.high & (segmentation.durations >= d)
             starts = [
                 s
-                for seg in _eligible_segments(segmentation, kind)
-                if seg.duration >= d
-                for s in range(seg.start, seg.end - d + 1)
+                for a, dur in zip(segmentation.starts[hosts],
+                                  segmentation.durations[hosts])
+                for s in range(a, a + dur - d + 1)
             ]
         else:
             starts = list(range(0, series_length - d + 1))
@@ -143,10 +137,13 @@ def pick_injection_regions(segmentation, spec, series_length, rng=None):
         return sorted(regions)
 
     # fractional / default durations: pick a host segment, then an offset
+    eligible = np.flatnonzero(
+        segmentation.high | (kind not in HIGH_STATE_KINDS))
+    if not eligible.size:
+        raise PlacementError("no eligible segment for placement")
+    seg_starts = segmentation.starts
     regions = []
-    occupied = []
     for _ in range(spec.count):
-        placed = False
         for _attempt in range(1000):
             if spec.duration is None and kind not in (
                 AnomalyKind.NOISE, AnomalyKind.DRIFT
@@ -156,23 +153,17 @@ def pick_injection_regions(segmentation, spec, series_length, rng=None):
                 frac = None
             else:
                 frac = spec.duration
-            segs = _eligible_segments(segmentation, kind)
-            if not segs:
-                raise PlacementError("no eligible segment for placement")
-            seg = segs[rng.integers(len(segs))]
+            i = eligible[rng.integers(len(eligible))]
+            start, dur = int(seg_starts[i]), int(segmentation.durations[i])
             if frac is None:
-                d = min(DEFAULT_FIXED_DURATION, seg.duration)
+                d = min(DEFAULT_FIXED_DURATION, dur)
             else:
-                d = max(1, int(round(frac * seg.duration)))
-            if d > seg.duration:
-                continue
-            s = int(rng.integers(seg.start, seg.end - d + 1))
-            if all(s + d <= os or s >= oe for os, oe in occupied):
+                d = max(1, int(round(frac * dur)))
+            s = int(rng.integers(start, start + dur - d + 1))
+            if all(s + d <= os or s >= oe for os, oe in regions):
                 regions.append((s, s + d))
-                occupied.append((s, s + d))
-                placed = True
                 break
-        if not placed:
+        else:
             raise PlacementError(
                 "could not place all requested regions without overlap"
             )
@@ -217,12 +208,12 @@ def inject(series, segmentation, model, spec, channel):
                 s_min - magnitude * s_range
             out[start:end] = level
         elif kind is AnomalyKind.WRONG_STATE:
-            low_segs = [s for s in segmentation.segments if s.state is State.LOW]
-            if not low_segs:
+            low = ~segmentation.high
+            if not low.any():
                 raise ValueError("segmentation has no LOW segments to imitate")
-            weights = np.array([s.duration for s in low_segs], dtype=float)
+            durations = segmentation.durations[low]
             low_level = float(
-                np.sum([s.level * s.duration for s in low_segs]) / weights.sum()
+                np.sum(segmentation.levels[low] * durations) / durations.sum()
             )
             ctrl = np.full(d, low_level)
             out[start:end] = integrate(

@@ -63,9 +63,9 @@ def generate_with_record(plan, k):
         raise ValueError(f"pair index {k} outside [0, {plan.count})")
     seed_key = (int(plan.seed), k)
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_key)))
-    segments = sample_segments(plan.profile, plan.length, rng)
-    control = render_segments(segments, plan.length)
-    features = pair_features(segments)
+    segmentation = sample_segments(plan.profile, plan.length, rng)
+    control = render_segments(segmentation)
+    features = pair_features(segmentation)
     donor_idx = select_donor(features, [f.features for f in plan.fitted])
     donor = plan.fitted[donor_idx]
     try:

@@ -7,7 +7,7 @@ produced by injecting the standard anomaly kinds; the ground-truth
 parameters (not a fit) drive the wrong-state replacements.
 """
 
-import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -16,11 +16,19 @@ from .anomalies import AnomalyKind, AnomalySpec, inject
 from .control import AUTO, segment_control
 from .errors import PlacementError
 from .lstm import PredictorConfig
-from .ode import FitConfig, OdeParams, PsoConfig, SgdConfig, integrate
+from .ode import (PARAM_COUNT, FitConfig, OdeParams, PsoConfig, SgdConfig,
+                  equilibrium, integrate)
+from .scoring import check_beta, check_ridge
 from .series import TimeSeries
 
 CONTROL_CHANNEL = "control"
 RESPONSE_CHANNEL = "response"
+
+
+def _is_count(value):
+    """An integer >= 1 that is not a bool."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1)
 
 
 def _as_kind(k):
@@ -88,17 +96,21 @@ class BenchmarkConfig:
             setattr(self, name, tuple(getattr(self, name)))
         self.anomaly_kinds = tuple(_as_kind(k) for k in self.anomaly_kinds)
         for name in ("series_length", "n_large", "n_small", "n_generated",
-                     "n_val_normal", "n_val_anomalous", "n_test"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                     "n_val_normal", "n_val_anomalous", "n_test",
+                     "injections_per_series", "anomaly_duration"):
+            if not _is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer >= 1")
+        if not (len(self.duration_range) == 2
+                and all(map(_is_count, self.duration_range))
+                and self.duration_range[0] <= self.duration_range[1]):
+            raise ValueError("duration_range must be two integers "
+                             "with 1 <= low <= high")
         if self.noise_std_frac < 0:
             raise ValueError("noise_std_frac must be >= 0")
         if self.base_params[1] <= 0:
             raise ValueError("ground-truth decay coefficient must be positive")
-        if not (math.isfinite(self.ridge) and self.ridge >= 0):
-            raise ValueError("ridge must be finite and >= 0")
-        if not (math.isfinite(self.threshold_beta) and self.threshold_beta > 0):
-            raise ValueError("threshold_beta must be finite and > 0")
+        check_ridge(self.ridge)
+        check_beta(self.threshold_beta, "threshold_beta")
 
 
 @dataclass
@@ -136,13 +148,11 @@ def _sample_ground_truth_control(config, rng):
 def _gen_normal(config, rng):
     """One normal 2-channel series plus its ground-truth parameters."""
     control = _sample_ground_truth_control(config, rng)
-    jitter = 1.0 + config.param_jitter * rng.uniform(-1.0, 1.0, size=3)
+    jitter = 1.0 + config.param_jitter * rng.uniform(-1.0, 1.0, size=PARAM_COUNT)
     params = tuple(float(b * j) for b, j in zip(config.base_params, jitter))
-    p0, p1, p2 = params
-    x0 = (p0 * control[0] + p2) / p1
     clean = integrate(
         OdeParams.single(params, config.series_length),
-        x0,
+        equilibrium(params, control[0]),
         control,
         config.sample_period,
     )

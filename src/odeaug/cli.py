@@ -88,14 +88,17 @@ def _write_json(path, doc):
 def _read_doc(path, reader=None):
     """The JSON document at ``path``, passed through ``reader`` if given.
 
-    A key the document lacks is reported with the path and the key.
+    Malformed JSON, a key the document lacks and a value the reader
+    rejects are reported with the path.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
         return doc if reader is None else reader(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_manifest(command, out_dir_or_file, seed, config_echo, inputs,

@@ -7,53 +7,47 @@ state) and samples the profile to synthesize novel control inputs.  The
 donor-selection rule used by the augmentation stage also lives here.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-
-class State(enum.Enum):
-    HIGH = "high"
-    LOW = "low"
-
-    def other(self):
-        return State.LOW if self is State.HIGH else State.HIGH
-
-
-@dataclass(frozen=True)
-class Segment:
-    state: State
-    start: int
-    duration: int
-    level: float
-
-    @property
-    def end(self):
-        return self.start + self.duration
+#: The two control states, in the order profile documents list them.
+STATES = ("high", "low")
 
 
 @dataclass
 class StateSegmentation:
-    """Contiguous alternating-state segments covering a channel."""
+    """Alternating HIGH/LOW runs covering a control channel from sample 0.
 
-    segments: list
+    Run ``i`` is HIGH when ``high[i]``, lasts ``durations[i]`` samples
+    and has mean value ``levels[i]``.
+    """
+
+    high: np.ndarray
+    durations: np.ndarray
+    levels: np.ndarray
     threshold: float = math.nan
     degenerate: bool = False
 
     def __post_init__(self):
-        if not self.segments:
+        self.high = np.asarray(self.high, dtype=bool)
+        self.durations = np.asarray(self.durations, dtype=np.int64)
+        self.levels = np.asarray(self.levels, dtype=float)
+        if self.high.size == 0:
             raise ValueError("segmentation needs at least one segment")
-        pos = self.segments[0].start
-        prev_state = None
-        for seg in self.segments:
-            if seg.start != pos or seg.duration < 1:
-                raise ValueError("segments must be contiguous and non-empty")
-            if prev_state is seg.state:
-                raise ValueError("adjacent segments must differ in state")
-            pos = seg.end
-            prev_state = seg.state
+        if not (self.high.shape == self.durations.shape == self.levels.shape
+                == (self.high.size,)):
+            raise ValueError("high, durations and levels must be equal-length 1-D")
+        if np.any(self.durations < 1):
+            raise ValueError("segments must be non-empty")
+        if np.any(self.high[1:] == self.high[:-1]):
+            raise ValueError("adjacent segments must differ in state")
+
+    @property
+    def starts(self):
+        """The sample at which each run begins; the first is 0."""
+        return np.cumsum(self.durations) - self.durations
 
 
 def _two_means(y):
@@ -99,8 +93,8 @@ def segment_control(series, channel, threshold=AUTO, min_duration=2):
         rng_width = float(np.max(y) - np.min(y))
         c0, c1 = _two_means(y)
         if abs(c1 - c0) < 1e-9 * max(rng_width, 1e-300) or rng_width == 0.0:
-            seg = Segment(State.LOW, 0, n, float(np.mean(y)))
-            return StateSegmentation([seg], threshold=float(np.mean(y)),
+            level = float(np.mean(y))
+            return StateSegmentation([False], [n], [level], threshold=level,
                                      degenerate=True)
         threshold = 0.5 * (c0 + c1)
     threshold = float(threshold)
@@ -111,20 +105,19 @@ def segment_control(series, channel, threshold=AUTO, min_duration=2):
     # merging all three into one run keeps the runs alternating
     high = y > threshold
     bounds = [0, *(np.flatnonzero(np.diff(high)) + 1).tolist(), n]
-    runs = [[bool(high[s]), s, e - s] for s, e in zip(bounds, bounds[1:])]
+    runs = [[bool(high[s]), e - s] for s, e in zip(bounds, bounds[1:])]
     while len(runs) > 1:
-        lengths = [r[2] for r in runs]
+        lengths = [r[1] for r in runs]
         idx = lengths.index(min(lengths))
         if lengths[idx] >= min_duration:
             break
         lo, hi = max(idx - 1, 0), idx + 2
-        runs[lo:hi] = [[not runs[idx][0], runs[lo][1], sum(lengths[lo:hi])]]
+        runs[lo:hi] = [[not runs[idx][0], sum(lengths[lo:hi])]]
 
-    segments = [
-        Segment(State.HIGH if h else State.LOW, s, d, float(np.mean(y[s:s + d])))
-        for h, s, d in runs
-    ]
-    return StateSegmentation(segments, threshold=threshold)
+    high, durations = zip(*runs)
+    starts = np.cumsum(durations) - durations
+    levels = [float(np.mean(y[s:s + d])) for s, d in zip(starts, durations)]
+    return StateSegmentation(high, durations, levels, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +163,17 @@ def _build_histogram(values, bins, point_mass_halfwidth):
 class ControlProfile:
     """Pooled per-state duration/level histograms plus start-state counts.
 
-    ``single_state`` is set when no source segmentation contained the other
-    state; the missing state's histogram entries are then None and sampled
-    controls hold the observed state for their whole length.
+    The histogram dicts are keyed by :data:`STATES`.  ``single_state``
+    ("high" or "low") is set when no source segmentation contained the
+    other state; the missing state's histogram entries are then None and
+    sampled controls hold the observed state for their whole length.
     """
 
     duration_hists: dict
     level_hists: dict
     start_state_counts: tuple
     source_count: int
-    single_state: State = None
+    single_state: str = None
 
 
 def build_profile(segmentations, bins=10):
@@ -192,88 +186,72 @@ def build_profile(segmentations, bins=10):
     segmentations = list(segmentations)
     if not segmentations:
         raise ValueError("need at least one segmentation")
-    durations = {State.HIGH: [], State.LOW: []}
-    levels = {State.HIGH: [], State.LOW: []}
-    starts = {State.HIGH: 0, State.LOW: 0}
-    for seg in segmentations:
-        starts[seg.segments[0].state] += 1
-        for s in seg.segments:
-            durations[s.state].append(s.duration)
-            levels[s.state].append(s.level)
-
-    missing = [st for st in State if not durations[st]]
-    single_state = None
-    if missing:
-        single_state = missing[0].other()
+    high = np.concatenate([seg.high for seg in segmentations])
+    durations = np.concatenate([seg.durations for seg in segmentations])
+    levels = np.concatenate([seg.levels for seg in segmentations])
+    n_high_starts = sum(bool(seg.high[0]) for seg in segmentations)
 
     duration_hists, level_hists = {}, {}
-    for st in State:
-        if durations[st]:
-            duration_hists[st] = _build_histogram(durations[st], bins, 0.5)
-            lv = levels[st]
+    for st, own in zip(STATES, (high, ~high)):
+        duration_hists[st] = level_hists[st] = None
+        if own.any():
+            duration_hists[st] = _build_histogram(durations[own], bins, 0.5)
+            lv = levels[own]
             half = max(1e-9, 1e-9 * abs(lv[0]))
             level_hists[st] = _build_histogram(lv, bins, half)
-        else:
-            duration_hists[st] = None
-            level_hists[st] = None
+    single_state = None
+    if high.all() or not high.any():
+        single_state = "high" if high[0] else "low"
     return ControlProfile(
         duration_hists=duration_hists,
         level_hists=level_hists,
-        start_state_counts=(starts[State.HIGH], starts[State.LOW]),
+        start_state_counts=(n_high_starts, len(segmentations) - n_high_starts),
         source_count=len(segmentations),
         single_state=single_state,
     )
-
-
-def _as_generator(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _sample_duration(hist, rng):
     return max(1, int(math.floor(hist.sample(rng) + 0.5)))
 
 
-def sample_segments(profile, length, seed):
-    """Draw alternating segments until ``length`` samples are covered.
+def sample_segments(profile, length, rng):
+    """Draw alternating segments from a :class:`numpy.random.Generator`
+    until ``length`` samples are covered.
 
     The start state is drawn proportional to the observed start-state
     counts; each segment draws its duration and level from the matching
-    histograms.  The final segment is truncated to fit.  Returns the list
-    of realized :class:`Segment` (with truncated final duration).
+    histograms.  The final segment is truncated to fit.
     """
     length = int(length)
     if length < 1:
         raise ValueError("length must be >= 1")
-    rng = _as_generator(seed)
     if profile.single_state is not None:
-        st = profile.single_state
-        level = profile.level_hists[st].sample(rng)
-        return [Segment(st, 0, length, level)]
+        level = profile.level_hists[profile.single_state].sample(rng)
+        return StateSegmentation([profile.single_state == "high"], [length],
+                                 [level])
 
     n_high, n_low = profile.start_state_counts
     total = n_high + n_low
     p_high = n_high / total if total else 0.5
-    state = State.HIGH if rng.random() < p_high else State.LOW
+    high = rng.random() < p_high
 
-    segments = []
+    states, durations, levels = [], [], []
     pos = 0
     while pos < length:
-        dur = _sample_duration(profile.duration_hists[state], rng)
-        level = profile.level_hists[state].sample(rng)
-        dur = min(dur, length - pos)
-        segments.append(Segment(state, pos, dur, level))
-        pos += dur
-        state = state.other()
-    return segments
+        st = "high" if high else "low"
+        dur = _sample_duration(profile.duration_hists[st], rng)
+        levels.append(profile.level_hists[st].sample(rng))
+        durations.append(min(dur, length - pos))
+        states.append(high)
+        pos += durations[-1]
+        high = not high
+    return StateSegmentation(states, durations, levels)
 
 
-def render_segments(segments, length):
-    out = np.empty(int(length))
-    for seg in segments:
-        out[seg.start:seg.end] = seg.level
-    return out
+def render_segments(segmentation):
+    """The control channel a segmentation describes: each run at its level."""
+    return np.repeat(segmentation.levels, segmentation.durations)
 
 
 # ---------------------------------------------------------------------------
@@ -297,30 +275,22 @@ class PairFeatures:
         ])
 
 
-def pair_features(segmentation_or_segments):
+def pair_features(segmentation):
     """Summarize a segmentation into the 4-coordinate donor feature vector.
 
     A state absent from the segmentation falls back to duration 1 and the
     overall mean level, keeping the features finite.
     """
-    segments = getattr(segmentation_or_segments, "segments", segmentation_or_segments)
-    overall = float(np.mean([s.level for s in segments]))
-    stats = {}
-    for st in State:
-        own = [s for s in segments if s.state is st]
-        if own:
-            stats[st] = (
-                float(np.mean([s.duration for s in own])),
-                float(np.mean([s.level for s in own])),
-            )
+    overall = float(np.mean(segmentation.levels))
+    stats = []
+    for own in (segmentation.high, ~segmentation.high):
+        if own.any():
+            stats.append((float(np.mean(segmentation.durations[own])),
+                          float(np.mean(segmentation.levels[own]))))
         else:
-            stats[st] = (1.0, overall)
-    return PairFeatures(
-        mean_high_duration=stats[State.HIGH][0],
-        mean_low_duration=stats[State.LOW][0],
-        mean_high_level=stats[State.HIGH][1],
-        mean_low_level=stats[State.LOW][1],
-    )
+            stats.append((1.0, overall))
+    (high_duration, high_level), (low_duration, low_level) = stats
+    return PairFeatures(high_duration, low_duration, high_level, low_level)
 
 
 def select_donor(synthetic, training):
@@ -361,17 +331,14 @@ def profile_to_dict(profile):
         "version": 1,
         "kind": "control-profile",
         "source_count": profile.source_count,
-        "start_state_counts": {
-            "high": profile.start_state_counts[0],
-            "low": profile.start_state_counts[1],
-        },
-        "single_state": profile.single_state.value if profile.single_state else None,
+        "start_state_counts": dict(zip(STATES, profile.start_state_counts)),
+        "single_state": profile.single_state,
         "states": {
-            st.value: {
+            st: {
                 "duration": _hist_to_dict(profile.duration_hists[st]),
                 "level": _hist_to_dict(profile.level_hists[st]),
             }
-            for st in State
+            for st in STATES
         },
     }
 
@@ -379,17 +346,17 @@ def profile_to_dict(profile):
 def profile_from_dict(doc):
     if doc.get("kind") != "control-profile":
         raise ValueError("not a control profile document")
+    if doc["single_state"] not in (None, *STATES):
+        raise ValueError(f"unknown single_state {doc['single_state']!r}")
     return ControlProfile(
         duration_hists={
-            st: _hist_from_dict(doc["states"][st.value]["duration"]) for st in State
+            st: _hist_from_dict(doc["states"][st]["duration"]) for st in STATES
         },
         level_hists={
-            st: _hist_from_dict(doc["states"][st.value]["level"]) for st in State
+            st: _hist_from_dict(doc["states"][st]["level"]) for st in STATES
         },
-        start_state_counts=(
-            int(doc["start_state_counts"]["high"]),
-            int(doc["start_state_counts"]["low"]),
-        ),
+        start_state_counts=tuple(
+            int(doc["start_state_counts"][st]) for st in STATES),
         source_count=int(doc["source_count"]),
-        single_state=State(doc["single_state"]) if doc["single_state"] else None,
+        single_state=doc["single_state"],
     )

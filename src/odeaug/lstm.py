@@ -731,11 +731,12 @@ def network_from_dict(doc):
         layers, np.asarray(doc["w_out"], dtype=float),
         np.asarray(doc["b_out"], dtype=float)
     )
-    dims_ok = all(
-        l.w_x.shape[0] == 4 * l.hidden_size and l.b.shape[0] == 4 * l.hidden_size
-        for l in layers
-    )
-    if not dims_ok or net.w_out.shape[0] != config.output_dim:
+    d_in, shapes = len(config.input_channels), []
+    for h in config.layer_sizes:
+        shapes += [(4 * h, d_in), (4 * h, h), (4 * h,)]
+        d_in = h
+    shapes += [(config.output_dim, d_in), (config.output_dim,)]
+    if [p.shape for p in net.parameters()] != shapes:
         raise ValueError("inconsistent dimensions in network document")
     stats = [v for d in (config.norm_mean, config.norm_std) if d for v in d.values()]
     numbers = np.concatenate([p.ravel() for p in net.parameters()] + [stats])

@@ -39,6 +39,11 @@ def rhs(p, x, u):
     return p[0] * u - p[1] * x + p[2]
 
 
+def equilibrium(p, u):
+    """The state at which :func:`rhs` is zero under a constant control ``u``."""
+    return (p[0] * u + p[2]) / p[1]
+
+
 @dataclass
 class OdeParams:
     """Window-wise parameter tuples: list of (start, end, params), each

@@ -60,6 +60,8 @@ class GaussianScorer:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
         self.covariance = np.asarray(self.covariance, dtype=float)
+        if self.mean.ndim != 1:
+            raise ValueError("mean must be a 1-D vector")
         k = self.mean.shape[0]
         if self.covariance.shape != (k, k):
             raise ValueError("covariance shape must match mean dimension")
@@ -93,10 +95,11 @@ def check_ridge(ridge):
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
 
 
-def check_beta(beta):
-    """Raise ValueError unless the F-score weight is finite and > 0."""
+def check_beta(beta, name="beta"):
+    """Raise ValueError, naming the value ``name``, unless the F-score
+    weight is finite and > 0."""
     if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
+        raise ValueError(f"{name} must be finite and > 0, got {beta}")
 
 
 def fit_gaussian(mat, ridge=1e-6):

@@ -71,6 +71,7 @@ def test_criterion_1_metric_fidelity():
            f"max |dF| = {worst:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_2_bookkeeping_fidelity(directional_results):
     started = time.time()
     assert 40 + 125 == 165 and 3571 + 13598 == 17169
@@ -250,6 +251,7 @@ def directional_results():
     return results
 
 
+@pytest.mark.slow
 def test_criterion_9_directional_replication(directional_results):
     started = time.time()
     wins = directional_results["wins"]
@@ -259,6 +261,7 @@ def test_criterion_9_directional_replication(directional_results):
            ok, started, f"wins {wins}/10, mean dF {mean_delta:+.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_10_curve_consistency(directional_results):
     started = time.time()
     rep = directional_results["seed0_report"]

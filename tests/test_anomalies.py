@@ -5,7 +5,7 @@ import pytest
 
 from odeaug.anomalies import (AnomalyKind, AnomalySpec, inject,
                               pick_injection_regions)
-from odeaug.control import State, segment_control
+from odeaug.control import segment_control
 from odeaug.errors import PlacementError
 from odeaug.ode import OdeParams, integrate
 from odeaug.series import TimeSeries
@@ -29,12 +29,17 @@ def plant_series(n=300, dt=0.1, seed=0, params=(2.0, 0.5, 0.1)):
     return series, seg, model
 
 
+def high_runs(seg):
+    """(start, duration) of every HIGH run."""
+    return list(zip(seg.starts[seg.high], seg.durations[seg.high]))
+
+
 class TestPickInjectionRegions:
     def test_high_state_kinds_stay_inside_high_segments(self):
         series, seg, _ = plant_series()
         spec = AnomalySpec(AnomalyKind.ZERO, duration=5, count=3, seed=1)
         regions = pick_injection_regions(seg, spec, len(series))
-        highs = [(s.start, s.end) for s in seg.segments if s.state is State.HIGH]
+        highs = [(a, a + d) for a, d in high_runs(seg)]
         assert len(regions) == 3
         for start, end in regions:
             assert end - start == 5
@@ -44,10 +49,7 @@ class TestPickInjectionRegions:
         series, seg, _ = plant_series()
         spec = AnomalySpec(AnomalyKind.NOISE, duration=30, count=4, seed=3)
         regions = pick_injection_regions(seg, spec, len(series))
-        low_mask = np.zeros(len(series), dtype=bool)
-        for s in seg.segments:
-            if s.state is State.LOW:
-                low_mask[s.start:s.end] = True
+        low_mask = ~np.repeat(seg.high, seg.durations)
         touched_low = any(low_mask[start:end].any() for start, end in regions)
         assert touched_low
 
@@ -68,23 +70,23 @@ class TestPickInjectionRegions:
         series, seg, _ = plant_series()
         spec = AnomalySpec(AnomalyKind.OUT_OF_RANGE, duration=0.5, count=2, seed=5)
         regions = pick_injection_regions(seg, spec, len(series))
-        highs = [s for s in seg.segments if s.state is State.HIGH]
+        highs = high_runs(seg)
         for start, end in regions:
-            host = [s for s in highs if start >= s.start and end <= s.end]
+            host = [(a, d) for a, d in highs if start >= a and end <= a + d]
             assert host, "region must be inside one high segment"
-            assert (end - start) <= host[0].duration
+            assert (end - start) <= host[0][1]
 
     @pytest.mark.parametrize("kind", [AnomalyKind.ZERO, AnomalyKind.OUT_OF_RANGE,
                                       AnomalyKind.WRONG_STATE])
     def test_default_duration_is_a_fraction_of_a_high_segment(self, kind):
         series, seg, _ = plant_series()
-        highs = [s for s in seg.segments if s.state is State.HIGH]
+        highs = high_runs(seg)
         for seed in range(20):
             spec = AnomalySpec(kind, count=2, seed=seed)
             for start, end in pick_injection_regions(seg, spec, len(series)):
-                host = [s for s in highs if s.start <= start and end <= s.end]
+                host = [(a, d) for a, d in highs if a <= start and end <= a + d]
                 assert len(host) == 1
-                d = host[0].duration
+                d = host[0][1]
                 assert round(0.25 * d) <= end - start <= round(0.75 * d)
 
     @pytest.mark.parametrize("kind", [AnomalyKind.NOISE, AnomalyKind.DRIFT])
@@ -95,15 +97,14 @@ class TestPickInjectionRegions:
                             for i, d in enumerate(durations)])
         seg = segment_control(TimeSeries(["u"], 1.0, u[:, None]), "u", 0.5,
                               min_duration=2)
-        hosts = [
-            s for s in seg.segments
-            if kind is AnomalyKind.NOISE or s.state is State.HIGH]
+        hosts = [(a, d) for a, d, h in zip(seg.starts, seg.durations, seg.high)
+                 if kind is AnomalyKind.NOISE or h]
         lengths = set()
         for seed in range(30):
             spec = AnomalySpec(kind, seed=seed)
             [(start, end)] = pick_injection_regions(seg, spec, len(u))
-            [host] = [s for s in hosts if s.start <= start and end <= s.end]
-            assert end - start == min(20, host.duration)
+            [(_, d)] = [(a, d) for a, d in hosts if a <= start and end <= a + d]
+            assert end - start == min(20, d)
             lengths.add(end - start)
         assert 20 in lengths and len(lengths) > 1
 
@@ -182,11 +183,9 @@ class TestInject:
         spec = AnomalySpec(AnomalyKind.WRONG_STATE, duration=20, count=1, seed=13)
         out, report = inject(series, seg, model, spec, "x")
         start, end, _ = report.regions[0]
-        low_segs = [s for s in seg.segments if s.state is State.LOW]
-        weights = np.array([s.duration for s in low_segs], dtype=float)
-        low_level = float(
-            np.sum([s.level * s.duration for s in low_segs]) / weights.sum()
-        )
+        low = ~seg.high
+        low_level = float(np.sum(seg.levels[low] * seg.durations[low])
+                          / seg.durations[low].sum())
         expected = integrate(
             OdeParams.single(model.windows[0][2], end - start),
             series.channel("x")[start], np.full(end - start, low_level),

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from odeaug import cli, experiment
+from odeaug.anomalies import AnomalyKind, AnomalySpec, pick_injection_regions
 from odeaug.cli import main
+from odeaug.control import segment_control
 from odeaug.series import read_csv
 
 
@@ -183,6 +185,24 @@ class TestPipelineHandoff:
         assert series.labels is not None and series.labels.sum() == 6
         manifest = json.load(open(str(out) + ".manifest.json"))
         assert manifest["regions"][0]["kind"] == "zero"
+
+    def test_inject_fractional_duration(self, data_dir, tmp_path):
+        src = os.path.join(data_dir, "small", "series_000.csv")
+        out = tmp_path / "labeled.csv"
+        assert run(
+            "inject", "--data", src, "--channel", "response",
+            "--control", "control", "--kind", "zero", "--duration", "0.5",
+            "--count", "2", "--seed", "2", "--out", str(out),
+        ) == 0
+        manifest = json.load(open(str(out) + ".manifest.json"))
+        assert manifest["config"]["duration"] == 0.5
+        series = read_csv(src)
+        expected = pick_injection_regions(
+            segment_control(series, "control"),
+            AnomalySpec(AnomalyKind.ZERO, duration=0.5, count=2, seed=2),
+            len(series))
+        assert [(r["start"], r["end"]) for r in manifest["regions"]] == expected
+        assert read_csv(out).labels.sum() == sum(e - s for s, e in expected)
 
     def test_detect_and_evaluate(self, artifacts, data_dir, tmp_path):
         det_dir = tmp_path / "detections"
@@ -498,6 +518,51 @@ class TestPipelineHandoff:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command, document, key, value", [
+        ("detect", "net", "layers", [{"w_x": 1, "w_h": 1, "b": 1}]),
+        ("detect", "scorer", "mean", 5.0),
+        ("augment", "model", "windows", [5]),
+        ("inject", "model", "windows", [5]),
+        ("augment", "model", "features", [1.0, 2.0, 3.0, 4.0]),
+        ("augment", "profile", None, None),
+        ("detect", "net", None, None),
+    ], ids=["scalar-layer-arrays", "scalar-scorer-mean", "augment-int-window",
+            "inject-int-window", "list-features", "bad-json-profile",
+            "bad-json-net"])
+    def test_malformed_document_names_file_without_traceback(
+            self, artifacts, data_dir, tmp_path, capsys, command, document,
+            key, value):
+        paths = {"model": artifacts["models"][0],
+                 "profile": artifacts["profile"], "net": artifacts["net"],
+                 "scorer": artifacts["scorer"]}
+        broken = tmp_path / f"broken_{document}.json"
+        if key is None:
+            # the document cut off mid-way is not valid JSON
+            text = open(paths[document]).read()
+            broken.write_text(text[:len(text) // 2])
+        else:
+            doc = json.load(open(paths[document]))
+            doc[key] = value
+            broken.write_text(json.dumps(doc))
+        paths[document] = str(broken)
+        out = tmp_path / "out"
+        argv = {
+            "augment": ["--profile", paths["profile"], "--models",
+                        paths["model"], "--count", "2", "--length", "100"],
+            "inject": ["--data", os.path.join(data_dir, "small",
+                                              "series_000.csv"),
+                       "--channel", "response", "--control", "control",
+                       "--kind", "wrong_state", "--model", paths["model"]],
+            "detect": ["--net", paths["net"], "--scorer", paths["scorer"],
+                       "--data", os.path.join(data_dir, "test")],
+        }[command]
+        assert run(command, *argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"odeaug {command}: error: {broken}")
+        assert not out.exists()
+
+
 class TestExperimentCommands:
     def test_experiment_and_curve(self, tmp_path, bench_config):
         exp_dir = tmp_path / "exp"
@@ -533,6 +598,24 @@ class TestExperimentCommands:
                                             ("ridge", -1.0)])
     def test_bad_scoring_config_fails_before_training(
             self, tmp_path, monkeypatch, capsys, command, key, value):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the benchmark was built")
+
+        monkeypatch.setattr(cli, "gen_benchmark", must_not_run)
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert run(command, "--config", str(config), "--out", str(out)) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "experiment"])
+    @pytest.mark.parametrize("key, value", [
+        ("duration_range", [0, 0]), ("duration_range", [-3, -1]),
+        ("n_small", 2.5), ("n_test", True), ("injections_per_series", -1)])
+    def test_bad_benchmark_config_exits_1_before_generating(
+            self, tmp_path, monkeypatch, capsys, command, key, value):
+        # a zero-length duration range used to loop forever in gen-data
         def must_not_run(*args, **kwargs):
             raise AssertionError("the benchmark was built")
 

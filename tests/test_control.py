@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from odeaug.control import (AUTO, PairFeatures, State, build_profile,
-                            pair_features, render_segments, sample_segments,
+from odeaug.control import (AUTO, PairFeatures, StateSegmentation,
+                            build_profile, pair_features, profile_from_dict,
+                            profile_to_dict, render_segments, sample_segments,
                             segment_control, select_donor)
 from odeaug.series import TimeSeries
 
@@ -15,32 +16,58 @@ def series_of(values, dt=1.0):
     return TimeSeries(["u"], dt, np.asarray(values, dtype=float)[:, None])
 
 
+def sample(profile, length, seed):
+    return sample_segments(profile, length, np.random.default_rng(seed))
+
+
 def sample_control(profile, length, seed):
     """A control channel drawn from ``profile`` as augmentation draws it."""
-    return render_segments(sample_segments(profile, length, seed), length)
+    return render_segments(sample(profile, length, seed))
+
+
+class TestStateSegmentation:
+    def test_starts_derive_from_durations(self):
+        seg = StateSegmentation([True, False, True], [3, 1, 4], [0.9, 0.1, 0.8])
+        assert seg.starts.tolist() == [0, 3, 4]
+        assert seg.high.dtype == bool and seg.durations.dtype == np.int64
+
+    @pytest.mark.parametrize("high, durations, levels, match", [
+        ([], [], [], "at least one"),
+        ([True, False], [2, 0], [0.9, 0.1], "non-empty"),
+        ([True, False], [2, -1], [0.9, 0.1], "non-empty"),
+        ([True, True], [2, 3], [0.9, 0.8], "differ in state"),
+        ([False, True, True], [1, 2, 3], [0.1, 0.9, 0.8], "differ in state"),
+        ([True, False], [2, 3], [0.9], "equal-length"),
+        ([[True, False]], [[2, 3]], [[0.9, 0.1]], "equal-length"),
+    ])
+    def test_invalid_runs_rejected(self, high, durations, levels, match):
+        with pytest.raises(ValueError, match=match):
+            StateSegmentation(high, durations, levels)
+
+    def test_render_repeats_each_level(self):
+        seg = StateSegmentation([False, True], [2, 3], [0.1, 0.9])
+        assert render_segments(seg).tolist() == [0.1, 0.1, 0.9, 0.9, 0.9]
 
 
 class TestSegmentControl:
     def test_square_wave(self):
         seg = segment_control(series_of([0, 0, 0, 1, 1, 1]), "u",
                               threshold=0.5, min_duration=2)
-        states = [(s.state, s.duration) for s in seg.segments]
-        assert states == [(State.LOW, 3), (State.HIGH, 3)]
+        assert seg.high.tolist() == [False, True]
+        assert seg.durations.tolist() == [3, 3]
 
     def test_all_low_single_segment(self):
         seg = segment_control(series_of([0.1] * 8), "u", threshold=0.5,
                               min_duration=2)
-        assert len(seg.segments) == 1
-        assert seg.segments[0].state is State.LOW
-        assert seg.segments[0].duration == 8
+        assert seg.high.tolist() == [False]
+        assert seg.durations.tolist() == [8]
 
     def test_short_run_merged_into_longer_neighbour(self):
         seg = segment_control(series_of([0, 0, 1, 0, 0]), "u",
                               threshold=0.5, min_duration=2)
-        assert len(seg.segments) == 1
-        only = seg.segments[0]
-        assert only.state is State.LOW and only.duration == 5
-        assert only.level == pytest.approx(0.2)
+        assert seg.high.tolist() == [False]
+        assert seg.durations.tolist() == [5]
+        assert seg.levels[0] == pytest.approx(0.2)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold_rejected(self, threshold):
@@ -54,34 +81,30 @@ class TestSegmentControl:
         seg = segment_control(series_of(y), "u", AUTO, min_duration=2)
         assert not seg.degenerate
         assert 0.12 < seg.threshold < 0.88
-        assert {s.state for s in seg.segments} == {State.HIGH, State.LOW}
+        assert set(seg.high.tolist()) == {True, False}
 
     def test_auto_threshold_constant_channel_degenerate(self):
         seg = segment_control(series_of([0.5] * 10), "u", AUTO, min_duration=2)
         assert seg.degenerate
-        assert len(seg.segments) == 1
+        assert seg.durations.tolist() == [10]
 
     def test_levels_are_segment_means(self):
         seg = segment_control(series_of([0.0, 0.2, 1.0, 0.8]), "u",
                               threshold=0.5, min_duration=2)
-        assert seg.segments[0].level == pytest.approx(0.1)
-        assert seg.segments[1].level == pytest.approx(0.9)
+        assert seg.levels.tolist() == pytest.approx([0.1, 0.9])
 
     def test_reconstruction_matches_threshold_states(self):
         rng = np.random.default_rng(2)
         y = (rng.random(200) > 0.5).astype(float)
         seg = segment_control(series_of(y), "u", threshold=0.5, min_duration=1)
-        mask = np.zeros(200, dtype=bool)
-        for s in seg.segments:
-            mask[s.start:s.end] = s.state is State.HIGH
-        assert np.array_equal(mask, y > 0.5)
+        assert np.array_equal(np.repeat(seg.high, seg.durations), y > 0.5)
 
     def test_min_duration_respected(self):
         rng = np.random.default_rng(5)
         y = rng.normal(0.5, 0.4, size=300)
         seg = segment_control(series_of(y), "u", threshold=0.5, min_duration=4)
-        if len(seg.segments) > 1:
-            assert min(s.duration for s in seg.segments) >= 4
+        if seg.durations.size > 1:
+            assert seg.durations.min() >= 4
 
     def test_series_too_short_rejected(self):
         with pytest.raises(ValueError, match="short"):
@@ -97,14 +120,13 @@ def reference_runs(y, threshold, min_duration):
     start = 0
     for i in range(1, len(y) + 1):
         if i == len(y) or high[i] != high[start]:
-            runs.append([State.HIGH if high[start] else State.LOW, start,
-                         i - start])
+            runs.append([bool(high[start]), start, i - start])
             start = i
 
     def coalesce(rs):
         out = []
         for r in rs:
-            if out and out[-1][0] is r[0]:
+            if out and out[-1][0] == r[0]:
                 out[-1][2] += r[2]
             else:
                 out.append(list(r))
@@ -151,39 +173,34 @@ class TestSegmentControlReference:
                 seg = segment_control(series_of(y), "u", threshold,
                                       min_duration=min_duration)
                 if seg.degenerate:
-                    assert len(seg.segments) == 1
+                    assert seg.durations.tolist() == [len(y)]
                     continue
-                got = [(s.state, s.start, s.duration) for s in seg.segments]
+                got = list(zip(seg.high.tolist(), seg.starts.tolist(),
+                               seg.durations.tolist()))
                 assert got == reference_runs(y, seg.threshold, min_duration)
-                assert [s.level for s in seg.segments] == [
-                    float(np.mean(y[s.start:s.end])) for s in seg.segments]
+                assert seg.levels.tolist() == [
+                    float(np.mean(y[a:a + d]))
+                    for a, d in zip(seg.starts, seg.durations)]
                 if threshold is not AUTO:
                     assert seg.threshold == threshold
 
 
-def two_state_profile(high_durs, low_durs, high_levels, low_levels, starts=(1, 0)):
-    segs = []
-    pos = 0
-    n = max(len(high_durs), len(low_durs))
-    from odeaug.control import Segment, StateSegmentation
-
+def two_state_profile(high_durs, low_durs, high_levels, low_levels):
+    """Profile of one segmentation alternating HIGH and LOW runs, HIGH first."""
     items = []
-    for i in range(n):
+    for i in range(max(len(high_durs), len(low_durs))):
         if i < len(high_durs):
-            items.append((State.HIGH, high_durs[i], high_levels[i]))
+            items.append((True, high_durs[i], high_levels[i]))
         if i < len(low_durs):
-            items.append((State.LOW, low_durs[i], low_levels[i]))
-    for state, dur, level in items:
-        segs.append(Segment(state, pos, dur, level))
-        pos += dur
-    return build_profile([StateSegmentation(segs)])
+            items.append((False, low_durs[i], low_levels[i]))
+    return build_profile([StateSegmentation(*zip(*items))])
 
 
 class TestBuildProfile:
     def test_point_mass_duration(self):
         profile = two_state_profile([7, 7, 7], [7, 7], [1.0, 1.1, 0.9],
                                     [0.1, 0.2])
-        hist = profile.duration_hists[State.HIGH]
+        hist = profile.duration_hists["high"]
         assert hist.counts.sum() == 3
         assert np.count_nonzero(hist.counts) == 1
         lo, hi = hist.edges[0], hist.edges[-1]
@@ -192,7 +209,7 @@ class TestBuildProfile:
     def test_histogram_mean_consistency(self):
         durs = [10, 20, 30, 40, 25]
         profile = two_state_profile(durs, [5] * 5, [1.0] * 5, [0.1] * 5)
-        hist = profile.duration_hists[State.HIGH]
+        hist = profile.duration_hists["high"]
         bin_width = hist.edges[1] - hist.edges[0]
         assert abs(hist.mean() - np.mean(durs)) <= bin_width / 2
 
@@ -201,7 +218,7 @@ class TestBuildProfile:
         seg = segment_control(series_of(y), "u", 0.5, min_duration=2)
         single = build_profile([seg])
         double = build_profile([seg, seg])
-        for st in State:
+        for st in ("high", "low"):
             assert np.array_equal(
                 double.duration_hists[st].counts,
                 2 * single.duration_hists[st].counts,
@@ -215,8 +232,17 @@ class TestBuildProfile:
     def test_single_state_flagged(self):
         seg = segment_control(series_of([0.1] * 10), "u", 0.5, min_duration=2)
         profile = build_profile([seg])
-        assert profile.single_state is State.LOW
-        assert profile.duration_hists[State.HIGH] is None
+        assert profile.single_state == "low"
+        assert profile.duration_hists["high"] is None
+        assert profile.level_hists["high"] is None
+
+    @pytest.mark.parametrize("value", ["HIGH", "medium", 1])
+    def test_unknown_single_state_rejected(self, value):
+        seg = segment_control(series_of([0.1] * 10), "u", 0.5, min_duration=2)
+        doc = profile_to_dict(build_profile([seg]))
+        doc["single_state"] = value
+        with pytest.raises(ValueError, match="single_state"):
+            profile_from_dict(doc)
 
 
 class TestSampleControl:
@@ -225,19 +251,17 @@ class TestSampleControl:
 
     def test_point_mass_durations(self):
         profile = self._point_mass_profile()
-        segments = sample_segments(profile, 70, seed=3)
-        for seg in segments[:-1]:
-            assert seg.duration == 7
-        assert sum(s.duration for s in segments) == 70
+        seg = sample(profile, 70, seed=3)
+        assert np.all(seg.durations[:-1] == 7)
+        assert seg.durations.sum() == 70
 
     def test_states_alternate(self):
         y = [0.1, 0.1, 0.1, 0.9, 0.9, 0.1, 0.1, 0.9, 0.9, 0.9]
         profile = build_profile(
             [segment_control(series_of(y), "u", 0.5, min_duration=2)]
         )
-        segments = sample_segments(profile, 200, seed=9)
-        for a, b in zip(segments, segments[1:]):
-            assert a.state is not b.state
+        seg = sample(profile, 200, seed=9)
+        assert np.all(seg.high[1:] != seg.high[:-1])
 
     def test_levels_within_histogram_support(self):
         y = [0.1, 0.15, 0.12, 0.9, 0.95, 0.85] * 4
@@ -245,8 +269,8 @@ class TestSampleControl:
             [segment_control(series_of(y), "u", 0.5, min_duration=2)]
         )
         out = sample_control(profile, 300, seed=4)
-        lo = profile.level_hists[State.LOW].edges
-        hi = profile.level_hists[State.HIGH].edges
+        lo = profile.level_hists["low"].edges
+        hi = profile.level_hists["high"].edges
         assert out.min() >= min(lo[0], hi[0]) - 1e-12
         assert out.max() <= max(lo[-1], hi[-1]) + 1e-12
 
@@ -267,6 +291,14 @@ class TestSampleControl:
         profile = build_profile([seg])
         out = sample_control(profile, 50, seed=1)
         assert np.allclose(out, out[0])
+
+    def test_sampled_and_observed_controls_share_one_type(self):
+        y = [0.1, 0.1, 0.1, 0.9, 0.9, 0.1, 0.1, 0.9, 0.9, 0.9]
+        observed = segment_control(series_of(y), "u", 0.5, min_duration=2)
+        sampled = sample(build_profile([observed]), 40, seed=2)
+        assert type(sampled) is type(observed) is StateSegmentation
+        assert sampled.starts[0] == 0
+        assert np.isfinite(pair_features(sampled).as_array()).all()
 
 
 class TestSelectDonor:

@@ -14,8 +14,8 @@ import pytest
 from odeaug.augment import FittedPair, fitted_pair_from_dict, fitted_pair_to_dict
 from odeaug.benchmark import (BenchmarkConfig, LstmSettings, config_from_dict,
                               config_to_dict)
-from odeaug.control import (PairFeatures, State, build_profile,
-                            profile_from_dict, profile_to_dict, segment_control)
+from odeaug.control import (PairFeatures, build_profile, profile_from_dict,
+                            profile_to_dict, segment_control)
 from odeaug.lstm import (PredictorConfig, init_network, network_from_dict,
                          network_to_dict)
 from odeaug.ode import (FitConfig, OdeParams, PsoConfig, SgdConfig,
@@ -104,8 +104,8 @@ def single_state_control_profile(rng, tmp_path):
         series = TimeSeries(["control"], 0.1, u[:, None])
         segmentations.append(segment_control(series, "control", 0.5))
     profile = build_profile(segmentations, bins=int(rng.integers(2, 12)))
-    assert profile.single_state
-    missing = State.LOW if high else State.HIGH
+    assert profile.single_state == ("high" if high else "low")
+    missing = "low" if high else "high"
     assert profile.duration_hists[missing] is None
     assert profile.level_hists[missing] is None
     assert_same(profile, profile_from_dict(through_json(profile_to_dict(profile))))

@@ -76,6 +76,29 @@ class TestGenBenchmark:
         with pytest.raises(ValueError, match=name):
             tiny_config(**{name: value})
 
+    @pytest.mark.parametrize("value", [
+        (0, 0), (-5, -1), (0, 10), (30, 20), (20,), (10, 20, 30), (2.5, 9),
+        (True, 9), ("20", "80"),
+    ])
+    def test_config_rejects_bad_duration_range(self, value):
+        # a range of zero-length runs used to hang control sampling; only
+        # the config is built here, so a regression fails instead of hanging
+        with pytest.raises(ValueError, match="duration_range"):
+            tiny_config(duration_range=value)
+
+    @pytest.mark.parametrize("name", [
+        "series_length", "n_large", "n_small", "n_generated", "n_val_normal",
+        "n_val_anomalous", "n_test", "injections_per_series",
+        "anomaly_duration"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True, "3"])
+    def test_config_rejects_non_count(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            tiny_config(**{name: value})
+
+    def test_config_accepts_numpy_counts(self):
+        config = tiny_config(n_small=np.int64(3), duration_range=np.array([5, 9]))
+        assert config.duration_range == (5, 9)
+
 
 class TestRunExperiment:
     def test_report_covers_requested_regimes_in_order(self):

@@ -518,6 +518,29 @@ class TestSerialization:
         with pytest.raises(ValueError, match="dimension"):
             network_from_dict(doc)
 
+    @pytest.mark.parametrize("layer, key, shape", [
+        (None, "layers", (0,)),
+        (0, "w_x", ()),
+        (0, "w_h", (4,)),
+        (0, "b", (1, 1)),
+        (1, "w_x", None),
+        (1, "w_h", None),
+        (None, "w_out", None),
+        (None, "b_out", (2, 1)),
+    ])
+    def test_array_shapes_chain_through_the_layers(self, layer, key, shape):
+        # ``None`` swaps in the transpose, a well-formed array of the
+        # wrong shape; the rest are arrays of the wrong rank
+        config = toy_config(layer_sizes=(3, 2), prediction_length=3)
+        doc = network_to_dict(init_network(config), config)
+        node = doc if layer is None else doc["layers"][layer]
+        if shape is None:
+            node[key] = np.asarray(node[key]).T.tolist()
+        else:
+            node[key] = np.ones(shape).tolist()
+        with pytest.raises(ValueError, match="dimension"):
+            network_from_dict(doc)
+
     @pytest.mark.parametrize("path, value", [
         (("w_out", 0, 0), math.nan),
         (("b_out", 0), math.inf),

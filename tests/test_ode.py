@@ -9,7 +9,8 @@ import pytest
 from odeaug.errors import (DivergenceError, RefinementFailedError,
                            UnidentifiableError)
 from odeaug.ode import (FitConfig, OdeParams, PsoConfig, SeriesPair, SgdConfig,
-                        fit, fit_gradient_sgd, integrate, integration_rmse,
+                        equilibrium, fit, fit_gradient_sgd, integrate,
+                        integration_rmse,
                         params_from_dict, params_to_dict, refine_pso, rhs,
                         stability_notes, _candidate_box,
                         _divergence_bound, _retained_indices, _seed_entropy,
@@ -47,6 +48,11 @@ class TestEvaluateRhs:
 
     def test_general_case(self):
         assert rhs((2, 0.5, 0.1), 0.4, 0.3) == pytest.approx(0.5)
+
+    def test_equilibrium_zeroes_rhs(self):
+        p, u = (2.0, 0.5, 0.1), 0.6
+        assert equilibrium(p, u) == (p[0] * u + p[2]) / p[1]
+        assert rhs(p, equilibrium(p, u), u) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestOdeParams:

@@ -380,3 +380,11 @@ class TestScorerSerialization:
                                                 covariance=np.eye(2),
                                                 threshold=tau))
             assert scorer_from_dict(doc).threshold == tau
+
+    @pytest.mark.parametrize("mean", [5.0, [[0.0, 0.0]]])
+    def test_mean_must_be_a_vector(self, mean):
+        doc = scorer_to_dict(GaussianScorer(mean=np.zeros(2),
+                                            covariance=np.eye(2)))
+        doc["mean"] = mean
+        with pytest.raises(ValueError, match="1-D"):
+            scorer_from_dict(doc)

@@ -209,6 +209,26 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match="'t'"):
             read_csv(path)
 
+    @pytest.mark.parametrize("text, line, match", [
+        ("", 1, "empty file"),
+        ("t\n0.0\n0.1\n", 1, "no data channels"),
+        ("t,label\n0.0,0\n0.1,1\n", 1, "no data channels"),
+        ("t,x\n0.0,1\n0.1,abc\n", 3, "non-numeric"),
+        ("t,x\n", 2, "at least two"),
+        ("t,x\n0.0,1\n", 2, "at least two"),
+        ("t,x\n0.1,1\n0.0,2\n", 3, "strictly increasing"),
+        ("t,x\n0.0,1\n0.0,2\n", 3, "strictly increasing"),
+        ("t,x,y\n0.0,1,2\n0.1,3,4\n0.2,5,inf\n", 4, "non-finite value"),
+        ("t,x\n0.0,nan\n0.1,2\n", 2, "non-finite value"),
+    ])
+    def test_schema_errors_report_their_line(self, tmp_path, text, line, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=match) as err:
+            read_csv(path)
+        assert err.value.line == line
+        assert f":{line}:" in str(err.value)
+
     def test_rejects_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,x\n0.0,1\n0.1\n")
