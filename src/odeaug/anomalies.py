@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PlacementError
+from .errors import PlacementError, check_count, check_real
 from .ode import OdeParams, integrate
 
 
@@ -59,21 +59,16 @@ class AnomalySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.duration is not None:
-            if isinstance(self.duration, bool):
-                raise ValueError("duration must be int, float, or None")
-            if isinstance(self.duration, int):
-                if self.duration < 1:
-                    raise ValueError("duration must be >= 1 sample")
-            elif isinstance(self.duration, float):
-                if not (0.0 < self.duration < 1.0):
-                    raise ValueError("fractional duration must lie in (0, 1)")
-            else:
-                raise ValueError("duration must be int, float, or None")
-        if self.magnitude is not None and not (self.magnitude > 0):
-            raise ValueError("magnitude must be positive")
+        check_count("count", self.count)
+        check_count("seed", self.seed, 0)
+        if isinstance(self.duration, float):
+            check_real("duration", self.duration, 0, 1, low_open=True, high_open=True)
+        elif isinstance(self.duration, int):  # check_count rejects a bool
+            check_count("duration", self.duration)
+        elif self.duration is not None:
+            raise ValueError("duration must be int, float, or None")
+        if self.magnitude is not None:
+            check_real("magnitude", self.magnitude, 0, low_open=True)
 
     def resolved_magnitude(self):
         if self.magnitude is not None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .control import (ControlProfile, PairFeatures, pair_features,
                       render_segments, sample_segments, select_donor)
-from .errors import DivergenceError, GenerationError
+from .errors import DivergenceError, GenerationError, check_count, check_real
 from .ode import OdeParams, integrate, params_from_dict, params_to_dict
 from .series import TimeSeries
 
@@ -41,10 +41,10 @@ class AugmentationPlan:
     def __post_init__(self):
         if not self.fitted:
             raise ValueError("plan needs at least one fitted pair")
-        if self.length < 2:
-            raise ValueError("length must be >= 2")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        check_count("count", self.count)
+        check_count("length", self.length, 2)
+        check_count("seed", self.seed, 0)
+        check_real("sample_period", self.sample_period, 0, low_open=True)
         if len(self.channel_names) != 2:
             raise ValueError("channel_names must be (control, dependent)")
 

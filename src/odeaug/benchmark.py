@@ -7,36 +7,27 @@ produced by injecting the standard anomaly kinds; the ground-truth
 parameters (not a fit) drive the wrong-state replacements.
 """
 
-import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .anomalies import AnomalyKind, AnomalySpec, inject
 from .control import AUTO, segment_control
-from .errors import PlacementError
+from .errors import PlacementError, as_block, check_count, check_real
 from .lstm import PredictorConfig
-from .ode import (PARAM_COUNT, FitConfig, OdeParams, PsoConfig, SgdConfig,
-                  equilibrium, integrate)
-from .scoring import check_beta, check_ridge
+from .ode import PARAM_COUNT, FitConfig, OdeParams, equilibrium, integrate
 from .series import TimeSeries
 
 CONTROL_CHANNEL = "control"
 RESPONSE_CHANNEL = "response"
 
 
-def _is_count(value):
-    """An integer >= 1 that is not a bool."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 1)
-
-
 def _as_kind(k):
-    if isinstance(k, AnomalyKind):
-        return k
-    if isinstance(k, str):
-        return AnomalyKind[k.upper()]
-    return AnomalyKind(k)
+    """An anomaly kind from itself, its name or its number."""
+    try:
+        return AnomalyKind[k.upper()] if isinstance(k, str) else AnomalyKind(k)
+    except (KeyError, ValueError):
+        raise ValueError(f"anomaly_kinds: unknown kind {k!r}") from None
 
 
 @dataclass
@@ -91,26 +82,34 @@ class BenchmarkConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
-        for name in ("base_params", "duration_range", "low_level_range",
-                     "high_level_range"):
-            setattr(self, name, tuple(getattr(self, name)))
+        for name, size in (("base_params", PARAM_COUNT), ("duration_range", 2),
+                           ("low_level_range", 2), ("high_level_range", 2)):
+            values = tuple(getattr(self, name))
+            if len(values) != size:
+                raise ValueError(f"{name} must hold {size} values")
+            for value in values:
+                check = check_count if name == "duration_range" else check_real
+                check(name, value)
+            setattr(self, name, values)
+        if isinstance(self.anomaly_kinds, str) or not self.anomaly_kinds:
+            raise ValueError("anomaly_kinds must be a non-empty list of kinds")
         self.anomaly_kinds = tuple(_as_kind(k) for k in self.anomaly_kinds)
+        check_count("seed", self.seed, 0)
         for name in ("series_length", "n_large", "n_small", "n_generated",
                      "n_val_normal", "n_val_anomalous", "n_test",
                      "injections_per_series", "anomaly_duration"):
-            if not _is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer >= 1")
-        if not (len(self.duration_range) == 2
-                and all(map(_is_count, self.duration_range))
-                and self.duration_range[0] <= self.duration_range[1]):
-            raise ValueError("duration_range must be two integers "
-                             "with 1 <= low <= high")
-        if self.noise_std_frac < 0:
-            raise ValueError("noise_std_frac must be >= 0")
-        if self.base_params[1] <= 0:
-            raise ValueError("ground-truth decay coefficient must be positive")
-        check_ridge(self.ridge)
-        check_beta(self.threshold_beta, "threshold_beta")
+            check_count(name, getattr(self, name))
+        if self.duration_range[0] > self.duration_range[1]:
+            raise ValueError("duration_range must have low <= high")
+        check_real("base_params[1] (the decay)", self.base_params[1], 0,
+                   low_open=True)
+        check_real("sample_period", self.sample_period, 0, low_open=True)
+        check_real("param_jitter", self.param_jitter)
+        check_real("noise_std_frac", self.noise_std_frac, 0)
+        check_real("ridge", self.ridge, 0)
+        check_real("threshold_beta", self.threshold_beta, 0, low_open=True)
+        self.lstm = as_block("lstm", self.lstm, LstmSettings)
+        self.fit = as_block("fit", self.fit, FitConfig)
 
 
 @dataclass
@@ -227,19 +226,3 @@ def config_to_dict(config):
     doc = asdict(config)
     doc["anomaly_kinds"] = [k.name.lower() for k in config.anomaly_kinds]
     return doc
-
-
-def config_from_dict(doc):
-    """The config a :func:`config_to_dict` document describes; the
-    dataclasses turn JSON lists back into tuples themselves."""
-    doc = dict(doc)
-    if "lstm" in doc and isinstance(doc["lstm"], dict):
-        doc["lstm"] = LstmSettings(**doc["lstm"])
-    if "fit" in doc and isinstance(doc["fit"], dict):
-        fit = dict(doc["fit"])
-        if "sgd" in fit and isinstance(fit["sgd"], dict):
-            fit["sgd"] = SgdConfig(**fit["sgd"])
-        if "pso" in fit and isinstance(fit["pso"], dict):
-            fit["pso"] = PsoConfig(**fit["pso"])
-        doc["fit"] = FitConfig(**fit)
-    return BenchmarkConfig(**doc)

@@ -16,7 +16,7 @@ from . import __version__
 from .anomalies import AnomalyKind, AnomalySpec, inject
 from .augment import (AugmentationPlan, fitted_pair_from_dict,
                       fitted_pair_to_dict, FittedPair, generate_with_record)
-from .benchmark import config_from_dict, config_to_dict, gen_benchmark
+from .benchmark import BenchmarkConfig, config_to_dict, gen_benchmark
 from .control import (AUTO, build_profile, pair_features, profile_from_dict,
                       profile_to_dict, segment_control)
 from .experiment import (REGIMES, augmentation_curve, calibrate_scorer,
@@ -26,7 +26,7 @@ from .experiment import (REGIMES, augmentation_curve, calibrate_scorer,
 from .lstm import (PredictorConfig, network_from_dict,  # noqa: F401
                    network_to_dict, predict, train)
 from .metrics import MetricsReport, RegimeRow
-from .ode import STRUCTURE_ID, SeriesPair, fit
+from .ode import STRUCTURE_ID, FitConfig, SeriesPair, fit
 from .scoring import (error_vectors, score_many, score_series,  # noqa: F401
                       scorer_from_dict, scorer_to_dict, select_threshold)
 from .series import read_csv, read_csv_dir, write_csv
@@ -127,13 +127,21 @@ def _load_series_any(path):
     return [read_csv(path)]
 
 
-def _benchmark_config(args):
-    """The benchmark config of ``--config`` with ``--seed`` applied, and
-    the manifest's input list."""
-    config_doc = _read_doc(args.config) if args.config else {}
-    if args.seed is not None:
-        config_doc["seed"] = args.seed
-    return config_from_dict(config_doc), [args.config] if args.config else []
+def _config(args, cls, defaults=None, overrides=None):
+    """The ``cls`` built from ``--config`` (``{}`` without one) under
+    ``defaults``, ``overrides`` and ``--seed``; the document used; the
+    manifest's inputs.  A bad document is reported with its path."""
+    def build(doc):
+        if not isinstance(doc, dict):
+            raise ValueError("a config must be a JSON object")
+        doc = {**(defaults or {}), **doc, **(overrides or {})}
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        return cls(**doc), doc
+
+    if not args.config:
+        return (*build({}), [])
+    return (*_read_doc(args.config, build), [args.config])
 
 
 def _load_detector(args):
@@ -150,7 +158,7 @@ def _load_detector(args):
 # subcommands
 
 def cmd_gen_data(args):
-    config, inputs = _benchmark_config(args)
+    config, _, inputs = _config(args, BenchmarkConfig)
     _ensure_out_dir(args.out, args.force)
     bench = gen_benchmark(config)
     for name in ("large", "small", "val_normal", "val_anomalous", "test"):
@@ -165,12 +173,8 @@ def cmd_gen_data(args):
 
 def cmd_fit_ode(args):
     series = read_csv(args.data)
-    fit_doc = _read_doc(args.config) if args.config else {}
-    if args.seed is not None:
-        fit_doc["seed"] = args.seed
-    if args.pso:
-        fit_doc["use_pso"] = True
-    config = config_from_dict({"fit": fit_doc}).fit
+    config, fit_doc, inputs = _config(
+        args, FitConfig, overrides={"use_pso": True} if args.pso else None)
     pair = SeriesPair.from_series(series, args.control, args.dependent)
     report = fit(pair, config)
     seg = segment_control(series, args.control, AUTO, min_duration=2)
@@ -188,8 +192,7 @@ def cmd_fit_ode(args):
     _write_json(args.out, doc)
     _write_manifest(
         "fit-ode", args.out, config.seed,
-        {"fit": fit_doc, "structure": STRUCTURE_ID},
-        [args.data] + ([args.config] if args.config else []),
+        {"fit": fit_doc, "structure": STRUCTURE_ID}, [args.data] + inputs,
     )
     return 0
 
@@ -302,23 +305,19 @@ def _duration_arg(text):
 
 def cmd_train(args):
     series_list = _load_series_any(args.data)
-    cfg_doc = _read_doc(args.config) if args.config else {}
-    cfg_doc.setdefault("input_channels", series_list[0].channel_names)
-    if args.predicted:
-        cfg_doc["predicted_channels"] = args.predicted.split(",")
-    else:
-        cfg_doc.setdefault("predicted_channels", series_list[0].channel_names)
-    if args.seed is not None:
-        cfg_doc["seed"] = args.seed
-    config = PredictorConfig(**cfg_doc)
+    names = series_list[0].channel_names
+    config, cfg_doc, inputs = _config(
+        args, PredictorConfig,
+        defaults={"input_channels": names, "predicted_channels": names},
+        overrides={"predicted_channels": args.predicted.split(",")}
+        if args.predicted else None)
     val_series = _load_series_any(args.val_normal) if args.val_normal else None
     net, log = train(series_list, config, val_series=val_series)
     _ensure_out_file(args.out, args.force)
     _write_json(args.out, network_to_dict(net, config))
     _write_manifest(
         "train", args.out, config.seed, cfg_doc,
-        [args.data] + ([args.config] if args.config else [])
-        + ([args.val_normal] if args.val_normal else []),
+        [args.data] + inputs + ([args.val_normal] if args.val_normal else []),
         extra={"training_log": {
             "train_losses": log.train_losses,
             "val_losses": log.val_losses,
@@ -388,7 +387,7 @@ def cmd_evaluate(args):
 
 
 def cmd_experiment(args):
-    config, inputs = _benchmark_config(args)
+    config, _, inputs = _config(args, BenchmarkConfig)
     regimes = args.regimes.split(",") if args.regimes else list(REGIMES)
     bench = gen_benchmark(config)
     report = run_experiment(bench, regimes)
@@ -403,7 +402,7 @@ def cmd_experiment(args):
 
 
 def cmd_curve(args):
-    config, inputs = _benchmark_config(args)
+    config, _, inputs = _config(args, BenchmarkConfig)
     fractions = [float(q) for q in args.fractions.split(",")]
     bench = gen_benchmark(config)
     curve = augmentation_curve(bench, fractions)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_count
+
 #: The two control states, in the order profile documents list them.
 STATES = ("high", "low")
 
@@ -183,6 +185,7 @@ def build_profile(segmentations, bins=10):
     ``bins`` equal-width bins span the observed min..max (a single observed
     value degenerates to one bin).
     """
+    check_count("bins", bins)
     segmentations = list(segmentations)
     if not segmentations:
         raise ValueError("need at least one segmentation")

@@ -1,9 +1,48 @@
-"""Exception types raised across the pipeline.
+"""Exception types raised across the pipeline, and the field checks
+every config dataclass runs.
 
 Plain ``ValueError`` is used for ordinary invalid arguments; the classes
 here exist where callers need to carry extra context (step indices, best
 candidates seen so far) or to catch a specific failure mode.
 """
+
+import math
+import numbers
+
+
+def check_count(name, value, low=1):
+    """Raise ValueError, naming ``name``, unless ``value`` is an integer
+    >= ``low`` and not a bool."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(name, value, low=-math.inf, high=math.inf, low_open=False,
+               high_open=False):
+    """Raise ValueError, naming ``name``, unless ``value`` is a finite
+    number (not a bool) between ``low`` and ``high``, each bound excluded
+    when its ``*_open`` flag is set."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)
+            and (low < value if low_open else low <= value)
+            and (value < high if high_open else value <= high)):
+        raise ValueError(
+            f"{name} must be a finite number in "
+            f"{'(' if low_open or low == -math.inf else '['}{low:g}, {high:g}"
+            f"{')' if high_open or high == math.inf else ']'}, got {value!r}")
+
+
+def as_block(name, value, cls):
+    """``value`` as a ``cls``, built from it if it is a JSON object."""
+    if isinstance(value, cls):
+        return value
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    try:
+        return cls(**value)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 class CsvFormatError(ValueError):

@@ -15,15 +15,14 @@ import numpy as np
 from .augment import AugmentationPlan, FittedPair, generate_series_pair
 from .benchmark import CONTROL_CHANNEL, RESPONSE_CHANNEL
 from .control import AUTO, build_profile, pair_features, segment_control
-from .errors import InvalidJobError, TrainingDivergedError
+from .errors import InvalidJobError, TrainingDivergedError, check_real
 # ``train``, ``predict`` and ``score_series`` are not called here;
 # perfbench/tracing.py wraps them by this module's name.
 from .lstm import predict, predict_many, train, train_many  # noqa: F401
 from .metrics import MetricsReport, RegimeRow, prf_metrics
 from .ode import SeriesPair, fit
-from .scoring import (check_beta, check_ridge, error_vectors,  # noqa: F401
-                      fit_gaussian, score_many, score_series,
-                      select_threshold)
+from .scoring import (error_vectors, fit_gaussian, score_many,  # noqa: F401
+                      score_series, select_threshold)
 
 REGIMES = ("L(r)", "S(r)", "ODE(s)", "S(r)+ODE(s)", "L(r)+ODE(s)")
 
@@ -116,8 +115,8 @@ def calibrate_scorer(net, config, normal, labeled, ridge, beta):
     F-beta).  ``ridge``, ``beta`` and the labels are checked before any
     series is predicted.
     """
-    check_ridge(ridge)
-    check_beta(beta)
+    check_real("ridge", ridge, 0)
+    check_real("beta", beta, 0, low_open=True)
     if any(series.labels is None for series in labeled):
         raise ValueError("threshold selection needs labeled series")
     pooled = [error_vectors(preds, series, config) for series, preds

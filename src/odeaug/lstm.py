@@ -13,12 +13,12 @@ current step.  Predictions are in normalized (z-scored) units.
 
 import itertools
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InvalidJobError, TrainingDivergedError
+from .errors import (InvalidJobError, TrainingDivergedError, check_count,
+                     check_real)
 
 _STD_FLOOR = 1e-12
 
@@ -45,25 +45,22 @@ class PredictorConfig:
     def __post_init__(self):
         self.input_channels = tuple(self.input_channels)
         self.predicted_channels = tuple(self.predicted_channels)
-        self.layer_sizes = tuple(int(h) for h in self.layer_sizes)
-        if not self.layer_sizes or any(h < 1 for h in self.layer_sizes):
-            raise ValueError("layer_sizes must be non-empty positive integers")
-        if self.prediction_length < 1:
-            raise ValueError("prediction_length must be >= 1")
+        self.layer_sizes = tuple(self.layer_sizes)
+        if not self.layer_sizes:
+            raise ValueError("layer_sizes must be non-empty")
+        for h in self.layer_sizes:
+            check_count("layer_sizes", h)
         if not self.predicted_channels:
             raise ValueError("need at least one predicted channel")
         if not self.input_channels:
             raise ValueError("need at least one input channel")
-        for name in ("epochs", "tbptt_length", "series_batch_size", "patience"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1")
-        if not 0 <= self.val_fraction < 1:
-            raise ValueError("val_fraction must be in [0, 1)")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
-        if not self.clip_norm >= 0:
-            raise ValueError("clip_norm must be >= 0 (0 turns clipping off)")
+        for name in ("prediction_length", "epochs", "tbptt_length",
+                     "series_batch_size", "patience"):
+            check_count(name, getattr(self, name))
+        check_count("seed", self.seed, 0)
+        check_real("val_fraction", self.val_fraction, 0, 1, high_open=True)
+        check_real("learning_rate", self.learning_rate, 0, low_open=True)
+        check_real("clip_norm", self.clip_norm, 0)  # 0 turns clipping off
 
     @property
     def output_dim(self):

@@ -11,13 +11,13 @@ all of them.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DivergenceError, RefinementFailedError, UnidentifiableError
+from .errors import (DivergenceError, RefinementFailedError,
+                     UnidentifiableError, as_block, check_count, check_real)
 from .series import TimeSeries, curvature, derivative, moving_average
 
 
@@ -250,15 +250,11 @@ class SgdConfig:
     average_fraction: float = 0.4
 
     def __post_init__(self):
-        if not (isinstance(self.epochs, numbers.Integral) and self.epochs >= 1):
-            raise ValueError("sgd epochs must be an integer >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("sgd learning_rate must be finite and positive")
-        for name in ("warmup_fraction", "average_fraction"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"sgd {name} must be in [0, 1]")
-        if not self.lr_decay >= 0:
-            raise ValueError("sgd lr_decay must be >= 0")
+        check_count("epochs", self.epochs)
+        check_real("learning_rate", self.learning_rate, 0, low_open=True)
+        check_real("warmup_fraction", self.warmup_fraction, 0, 1)
+        check_real("average_fraction", self.average_fraction, 0, 1)
+        check_real("lr_decay", self.lr_decay, 0)
 
 
 @dataclass
@@ -271,13 +267,11 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("swarm_size", 1), ("iterations", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= low):
-                raise ValueError(f"pso {name} must be an integer >= {low}")
+        check_count("swarm_size", self.swarm_size)
+        check_count("iterations", self.iterations, 0)
         for name in ("inertia", "cognitive", "social"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"pso {name} must be finite")
+            check_real(name, getattr(self, name))
+        check_count("seed", self.seed, -math.inf)
 
 
 @dataclass
@@ -296,21 +290,25 @@ class FitConfig:
 
     def __post_init__(self):
         self.drop_fractions = tuple(self.drop_fractions)
-        if not (self.drop_fractions
-                and all(0 <= q <= 0.5 for q in self.drop_fractions)):
-            raise ValueError("drop_fractions must be non-empty, each in [0, 0.5]")
-        if not (isinstance(self.smooth_window, numbers.Integral)
-                and self.smooth_window >= 1 and self.smooth_window % 2 == 1):
-            raise ValueError("smooth_window must be an odd integer >= 1")
-        if not (isinstance(self.min_points, numbers.Integral)
-                and self.min_points >= PARAM_COUNT):
-            raise ValueError(f"min_points must be an integer >= {PARAM_COUNT}")
+        if not self.drop_fractions:
+            raise ValueError("drop_fractions must be non-empty")
+        for q in self.drop_fractions:
+            check_real("drop_fractions", q, 0, 0.5)
+        check_count("smooth_window", self.smooth_window)
+        if self.smooth_window % 2 == 0:
+            raise ValueError("smooth_window must be odd")
+        check_count("curvature_max_order", self.curvature_max_order)
+        check_count("min_points", self.min_points, PARAM_COUNT)
+        check_count("seed", self.seed, -math.inf)
+        self.sgd = as_block("sgd", self.sgd, SgdConfig)
+        if not isinstance(self.use_pso, bool):
+            raise ValueError(f"use_pso must be true or false, got {self.use_pso!r}")
+        self.pso = as_block("pso", self.pso, PsoConfig)
         previous_end = 0
-        for bound in self.window_bounds or ():
-            start, end = bound
-            if not (isinstance(start, numbers.Integral)
-                    and isinstance(end, numbers.Integral)
-                    and start == previous_end and end > start):
+        for start, end in self.window_bounds or ():
+            check_count("window_bounds", start, 0)
+            check_count("window_bounds", end, 0)
+            if not (start == previous_end and end > start):
                 raise ValueError(
                     "window_bounds must be contiguous, ordered integer "
                     "(start, end) pairs starting at 0")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabelsError
+from .errors import DegenerateLabelsError, check_real
 # ``predict`` is not called here; perfbench/tracing.py wraps it by this
 # module's name.
 from .lstm import predict, predict_many  # noqa: F401
@@ -89,19 +89,6 @@ class GaussianScorer:
         return self._chol
 
 
-def check_ridge(ridge):
-    """Raise ValueError unless the covariance ridge is finite and >= 0."""
-    if not (math.isfinite(ridge) and ridge >= 0):
-        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
-
-
-def check_beta(beta, name="beta"):
-    """Raise ValueError, naming the value ``name``, unless the F-score
-    weight is finite and > 0."""
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {beta}")
-
-
 def fit_gaussian(mat, ridge=1e-6):
     """Maximum-likelihood Gaussian over the rows of an error-vector array.
 
@@ -110,7 +97,7 @@ def fit_gaussian(mat, ridge=1e-6):
     vectors; positive definiteness is verified eagerly so degenerate fits
     fail here, not at scoring time.
     """
-    check_ridge(ridge)
+    check_real("ridge", ridge, 0)
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 2:
         raise ValueError("need at least two error vectors")
@@ -162,7 +149,7 @@ def select_threshold(scores, labels, beta=1.0):
 
     Raises :class:`DegenerateLabelsError` when labels are single-class.
     """
-    check_beta(beta)
+    check_real("beta", beta, 0, low_open=True)
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape or scores.ndim != 1:

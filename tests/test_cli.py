@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from odeaug import cli, experiment
 from odeaug.anomalies import AnomalyKind, AnomalySpec, pick_injection_regions
 from odeaug.cli import main
 from odeaug.control import segment_control
-from odeaug.series import read_csv
+from odeaug.series import TimeSeries, read_csv, write_csv
 
 
 def run(*argv):
@@ -300,6 +301,19 @@ class TestPipelineHandoff:
         assert "threshold" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def test_synth_control_with_negative_bins_exits_1(self, tmp_path, capsys):
+        # one high and one low run give point-mass histograms, so numpy
+        # never saw the bin count and the profile recorded bins -3
+        data = tmp_path / "two_runs.csv"
+        control = np.repeat([1.0, 0.0], 10)
+        write_csv(TimeSeries(["control", "response"], 0.1,
+                             np.column_stack([control, control])), data)
+        out = tmp_path / "profile.json"
+        assert run("synth-control", "--data", str(data), "--channel", "control",
+                   "--bins", "-3", "--out", str(out)) == 1
+        assert "bins" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["two_runs.csv"]
+
     def test_detect_flags_overflowed_score(self, artifacts, data_dir, tmp_path):
         # read_csv accepts the value (it is finite); against a tight
         # covariance the density overflows to NaN
@@ -560,6 +574,39 @@ class TestPipelineHandoff:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert err.startswith(f"odeaug {command}: error: {broken}")
+        assert not out.exists()
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize("command, doc, word", [
+        ("gen-data", {"n_small": 2.5}, "n_small"),
+        ("gen-data", [1, 2], "JSON object"),
+        ("fit-ode", [1, 2], "JSON object"),
+        ("train", [1, 2], "JSON object"),
+        ("gen-data", {"lstm": [1]}, "lstm"),
+        ("gen-data", {"fit": {"sgd": 5}}, "sgd"),
+        ("gen-data", {"anomaly_kinds": []}, "anomaly_kinds"),
+        ("gen-data", {"anomaly_kinds": "zero"}, "anomaly_kinds"),
+        ("gen-data", {"anomaly_kinds": ["foo"]}, "anomaly_kinds"),
+        ("gen-data", {"lstm": {"prediction_length": 2.5}}, "prediction_length"),
+        ("fit-ode", {"sgd": {"epochs": True}}, "epochs"),
+        ("fit-ode", {"use_pso": "false"}, "use_pso"),
+    ])
+    def test_bad_config_names_file_and_field(self, data_dir, tmp_path, capsys,
+                                             command, doc, word):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        data = os.path.join(data_dir, "small", "series_000.csv")
+        extra = {"gen-data": [],
+                 "fit-ode": ["--data", data, "--control", "control",
+                             "--dependent", "response"],
+                 "train": ["--data", data]}[command]
+        assert run(command, *extra, "--config", str(config),
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and word in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from odeaug.augment import FittedPair, fitted_pair_from_dict, fitted_pair_to_dict
-from odeaug.benchmark import (BenchmarkConfig, LstmSettings, config_from_dict,
-                              config_to_dict)
+from odeaug.benchmark import BenchmarkConfig, LstmSettings, config_to_dict
 from odeaug.control import (PairFeatures, build_profile, profile_from_dict,
                             profile_to_dict, segment_control)
 from odeaug.lstm import (PredictorConfig, init_network, network_from_dict,
@@ -155,7 +154,7 @@ def benchmark_config(rng, tmp_path):
             pso=PsoConfig(swarm_size=12, iterations=7, seed=int(rng.integers(1000))),
         ),
     )
-    assert_same(config, config_from_dict(through_json(config_to_dict(config))))
+    assert_same(config, BenchmarkConfig(**through_json(config_to_dict(config))))
 
 
 def list_valued_config(rng, tmp_path):
@@ -169,7 +168,7 @@ def list_valued_config(rng, tmp_path):
         lstm=LstmSettings(layer_sizes=[8, int(rng.integers(1, 8))]),
         fit=FitConfig(drop_fractions=[0.1, float(rng.uniform(0, 0.5))]),
     )
-    back = config_from_dict(through_json(config_to_dict(config)))
+    back = BenchmarkConfig(**through_json(config_to_dict(config)))
     assert back == config
     assert_same(config, back)
 

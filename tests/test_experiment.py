@@ -1,12 +1,13 @@
 """Benchmark generation and the regime experiment harness."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from odeaug.benchmark import (BenchmarkConfig, LstmSettings, config_from_dict,
-                              config_to_dict, gen_benchmark)
+from odeaug.benchmark import (BenchmarkConfig, LstmSettings, config_to_dict,
+                              gen_benchmark)
 from odeaug.experiment import (REGIMES, augmentation_curve, build_generated,
                                run_experiment)
 from odeaug.ode import FitConfig, SgdConfig
@@ -64,7 +65,7 @@ class TestGenBenchmark:
 
     def test_config_round_trip(self):
         config = tiny_config(seed=9)
-        back = config_from_dict(config_to_dict(config))
+        back = BenchmarkConfig(**config_to_dict(config))
         assert back == config
 
     @pytest.mark.parametrize("name, value", [
@@ -93,6 +94,19 @@ class TestGenBenchmark:
     @pytest.mark.parametrize("value", [0, -1, 2.5, True, "3"])
     def test_config_rejects_non_count(self, name, value):
         with pytest.raises(ValueError, match=name):
+            tiny_config(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("base_params", (2.0, math.nan, 0.1)), ("base_params", (math.inf, 0.3, 0.1)),
+        ("base_params", (2.0, 0.3)), ("base_params", (2.0,)),
+        ("base_params", (2.0, -0.3, 0.1)),
+        ("low_level_range", (math.nan, 0.3)), ("high_level_range", (0.7, math.inf)),
+        ("low_level_range", (0.1,)), ("high_level_range", (0.7, 0.8, 0.9)),
+    ])
+    def test_config_rejects_bad_ground_truth_values(self, name, value):
+        # a NaN here used to pass, and a one-value base_params ended in an
+        # IndexError
+        with pytest.raises(ValueError, match=re.escape(name)):
             tiny_config(**{name: value})
 
     def test_config_accepts_numpy_counts(self):
