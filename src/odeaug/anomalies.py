@@ -63,10 +63,9 @@ class AnomalySpec:
         check_count("seed", self.seed, 0)
         if isinstance(self.duration, float):
             check_real("duration", self.duration, 0, 1, low_open=True, high_open=True)
-        elif isinstance(self.duration, int):  # check_count rejects a bool
-            check_count("duration", self.duration)
         elif self.duration is not None:
-            raise ValueError("duration must be int, float, or None")
+            check_count("duration", self.duration)
+            self.duration = int(self.duration)
         if self.magnitude is not None:
             check_real("magnitude", self.magnitude, 0, low_open=True)
 

@@ -107,5 +107,17 @@ def fitted_pair_to_dict(pair, **meta):
 
 def fitted_pair_from_dict(doc):
     features = PairFeatures(**doc["features"])
+    check_real("initial_value", doc["initial_value"])
     return FittedPair(
         features, params_from_dict(doc), float(doc["initial_value"]))
+
+
+def donor_from_dict(doc):
+    """A donor model document's fitted pair, sample period and channels."""
+    channels = doc.get("channels") or {"control": "control",
+                                       "dependent": "dependent"}
+    names = (channels["control"], channels["dependent"])
+    if not all(isinstance(name, str) for name in names):
+        raise ValueError(f"channel names must be strings, got {names!r}")
+    check_real("sample_period", doc["sample_period"], 0, low_open=True)
+    return fitted_pair_from_dict(doc), float(doc["sample_period"]), names

@@ -24,6 +24,8 @@ RESPONSE_CHANNEL = "response"
 
 def _as_kind(k):
     """An anomaly kind from itself, its name or its number."""
+    if not isinstance(k, (AnomalyKind, str)):
+        check_count("anomaly_kinds", k)
     try:
         return AnomalyKind[k.upper()] if isinstance(k, str) else AnomalyKind(k)
     except (KeyError, ValueError):
@@ -104,7 +106,7 @@ class BenchmarkConfig:
         check_real("base_params[1] (the decay)", self.base_params[1], 0,
                    low_open=True)
         check_real("sample_period", self.sample_period, 0, low_open=True)
-        check_real("param_jitter", self.param_jitter)
+        check_real("param_jitter", self.param_jitter, 0, 1, high_open=True)
         check_real("noise_std_frac", self.noise_std_frac, 0)
         check_real("ridge", self.ridge, 0)
         check_real("threshold_beta", self.threshold_beta, 0, low_open=True)
@@ -177,7 +179,7 @@ def _inject_all(config, series, true_params, series_index, rng):
         kind = kinds[(series_index + j) % len(kinds)]
         spec = AnomalySpec(
             kind=kind,
-            duration=int(config.anomaly_duration),
+            duration=config.anomaly_duration,
             count=1,
             seed=int(rng.integers(0, 2**31)),
         )

@@ -3,22 +3,27 @@
 Every artifact-producing command writes its outputs plus a manifest
 recording the seed, a config echo, and content digests of inputs and
 outputs, so re-runs with identical seeds are byte-identical and
-verifiable.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
+verifiable; a failed run leaves the previous output as it was.  Exit
+codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
+import tempfile
+from dataclasses import asdict
 
 from . import __version__
 from .anomalies import AnomalyKind, AnomalySpec, inject
-from .augment import (AugmentationPlan, fitted_pair_from_dict,
+from .augment import (AugmentationPlan, donor_from_dict, fitted_pair_from_dict,
                       fitted_pair_to_dict, FittedPair, generate_with_record)
 from .benchmark import BenchmarkConfig, config_to_dict, gen_benchmark
 from .control import (AUTO, build_profile, pair_features, profile_from_dict,
                       profile_to_dict, segment_control)
+from .errors import PlacementError
 from .experiment import (REGIMES, augmentation_curve, calibrate_scorer,
                          curve_to_csv_text, detection_metrics, run_experiment)
 # ``predict``, ``score_series``, ``error_vectors`` and ``select_threshold``
@@ -29,10 +34,12 @@ from .metrics import MetricsReport, RegimeRow
 from .ode import STRUCTURE_ID, FitConfig, SeriesPair, fit
 from .scoring import (error_vectors, score_many, score_series,  # noqa: F401
                       scorer_from_dict, scorer_to_dict, select_threshold)
-from .series import read_csv, read_csv_dir, write_csv
+from .series import read_csv, write_csv
 
 # every exception class in ``errors`` derives from one of these
 _RUNTIME_ERRORS = (ValueError, TypeError, OSError, KeyError, RuntimeError)
+# name prefix of the directory an output is staged in beside ``--out``
+STAGE_PREFIX = ".odeaug-stage-"
 
 
 def _sha256(path):
@@ -58,73 +65,91 @@ def _digest_tree(path):
     return dict(sorted(out.items()))
 
 
-def _ensure_out_dir(path, force):
-    if os.path.isfile(path):
-        raise ValueError(f"output path {path} is an existing file")
-    if os.path.isdir(path) and os.listdir(path):
-        if not force:
-            raise ValueError(f"output directory {path} is not empty (use --force)")
-        import shutil
+def _check_out(args):
+    """Refuse ``--out`` before any work: a path of the wrong kind, or an
+    existing output without ``--force`` (an empty directory is accepted)."""
+    path = args.out
+    if path is None:
+        return
+    if os.path.isfile(path) if args.out_dir else os.path.isdir(path):
+        kind = "an existing file" if args.out_dir else "a directory"
+        raise ValueError(f"output path {path} is {kind}")
+    if (not args.force and os.path.exists(path)
+            and (not args.out_dir or os.listdir(path))):
+        raise ValueError(f"output {path} exists (use --force)")
 
-        shutil.rmtree(path)
-    os.makedirs(path, exist_ok=True)
 
-
-def _ensure_out_file(path, force):
-    if os.path.isdir(path):
-        raise ValueError(f"output path {path} is a directory")
-    if os.path.exists(path) and not force:
-        raise ValueError(f"output file {path} exists (use --force)")
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+def _write_text(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _read_doc(path, reader=None):
-    """The JSON document at ``path``, passed through ``reader`` if given.
+def _read_doc(path, reader):
+    """The JSON object at ``path``, passed through ``reader``.
 
-    Malformed JSON, a key the document lacks and a value the reader
-    rejects are reported with the path.
+    Malformed JSON, a document that is not an object, a key it lacks and
+    a value the reader rejects are reported with the path.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        return doc if reader is None else reader(doc)
+        if not isinstance(doc, dict):
+            raise ValueError("a document must be a JSON object")
+        return reader(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _write_manifest(command, out_dir_or_file, seed, config_echo, inputs,
-                    extra=None):
-    if os.path.isdir(out_dir_or_file):
-        manifest_path = os.path.join(out_dir_or_file, "manifest.json")
-    else:
-        manifest_path = out_dir_or_file + ".manifest.json"
-    doc = {
-        "version": 1,
-        "tool": f"odeaug {__version__}",
-        "command": command,
-        "seed": seed,
-        "config": config_echo,
-        "inputs": {p: _digest_tree(p) for p in inputs},
-        "outputs": _digest_tree(out_dir_or_file),
-    }
-    if extra:
-        doc.update(extra)
-    _write_json(manifest_path, doc)
+def _publish(args, seed, config_echo, inputs, write):
+    """Digest the inputs, then let ``write(path)`` write the output (into
+    a directory made for it, for a directory command) and return extra
+    manifest entries, in a staging directory beside ``--out``.  The output
+    and its manifest then replace the old ones; a failure leaves them."""
+    doc = {"version": 1, "tool": f"odeaug {__version__}",
+           "command": args.command_name, "seed": seed, "config": config_echo,
+           "inputs": {p: _digest_tree(p) for p in inputs}}
+    out = os.path.abspath(args.out)
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    stage = tempfile.mkdtemp(prefix=STAGE_PREFIX, dir=os.path.dirname(out))
+    try:
+        # the staged output keeps its final name: a file's digest is
+        # recorded under its basename
+        staged = os.path.join(stage, os.path.basename(out))
+        if args.out_dir:
+            os.mkdir(staged)
+        extra = write(staged) or {}
+        doc.update(extra, outputs=_digest_tree(staged))
+        manifest = (os.path.join(staged, "manifest.json") if args.out_dir
+                    else staged + ".manifest.json")
+        _write_json(manifest, doc)
+        if os.path.isdir(out):
+            os.replace(out, staged + ".old")
+        os.replace(staged, out)
+        if not args.out_dir:
+            os.replace(manifest, out + ".manifest.json")
+    finally:
+        shutil.rmtree(stage)
 
 
-def _load_series_any(path):
-    if os.path.isdir(path):
-        return read_csv_dir(path)
-    return [read_csv(path)]
+def _csv_paths(path):
+    """``path`` itself, or every ``*.csv`` under it (sorted) if a directory."""
+    if not os.path.isdir(path):
+        return [path]
+    return [os.path.join(path, f) for f in sorted(os.listdir(path))
+            if f.endswith(".csv")]
+
+
+def _load_series_any(path, channels=(), labeled=False):
+    series_list = [read_csv(p, channels, labeled) for p in _csv_paths(path)]
+    if not series_list:
+        raise ValueError(f"no CSV files under {path}")
+    return series_list
 
 
 def _config(args, cls, defaults=None, overrides=None):
@@ -132,8 +157,6 @@ def _config(args, cls, defaults=None, overrides=None):
     ``defaults``, ``overrides`` and ``--seed``; the document used; the
     manifest's inputs.  A bad document is reported with its path."""
     def build(doc):
-        if not isinstance(doc, dict):
-            raise ValueError("a config must be a JSON object")
         doc = {**(defaults or {}), **doc, **(overrides or {})}
         if args.seed is not None:
             doc["seed"] = args.seed
@@ -144,10 +167,17 @@ def _config(args, cls, defaults=None, overrides=None):
     return (*_read_doc(args.config, build), [args.config])
 
 
+def _read_network(doc):
+    net, config = network_from_dict(doc)
+    if config.norm_mean is None or config.norm_std is None:
+        raise ValueError("network has no normalization statistics; train it")
+    return net, config
+
+
 def _load_detector(args):
     """The network, its config and the thresholded scorer of ``--net``
     and ``--scorer``."""
-    net, config = _read_doc(args.net, network_from_dict)
+    net, config = _read_doc(args.net, _read_network)
     scorer = _read_doc(args.scorer, scorer_from_dict)
     if scorer.threshold is None:
         raise ValueError("scorer has no threshold; run the threshold command")
@@ -159,77 +189,54 @@ def _load_detector(args):
 
 def cmd_gen_data(args):
     config, _, inputs = _config(args, BenchmarkConfig)
-    _ensure_out_dir(args.out, args.force)
     bench = gen_benchmark(config)
-    for name in ("large", "small", "val_normal", "val_anomalous", "test"):
-        sub = os.path.join(args.out, name)
-        os.makedirs(sub, exist_ok=True)
-        for i, series in enumerate(getattr(bench, name)):
-            write_csv(series, os.path.join(sub, f"series_{i:03d}.csv"))
-    _write_manifest("gen-data", args.out, config.seed, config_to_dict(config),
-                    inputs)
+
+    def write(out):
+        for name in ("large", "small", "val_normal", "val_anomalous", "test"):
+            sub = os.path.join(out, name)
+            os.mkdir(sub)
+            for i, series in enumerate(getattr(bench, name)):
+                write_csv(series, os.path.join(sub, f"series_{i:03d}.csv"))
+
+    _publish(args, config.seed, config_to_dict(config), inputs, write)
     return 0
 
 
 def cmd_fit_ode(args):
-    series = read_csv(args.data)
+    series = read_csv(args.data, (args.control, args.dependent))
     config, fit_doc, inputs = _config(
         args, FitConfig, overrides={"use_pso": True} if args.pso else None)
     pair = SeriesPair.from_series(series, args.control, args.dependent)
     report = fit(pair, config)
     seg = segment_control(series, args.control, AUTO, min_duration=2)
-    _ensure_out_file(args.out, args.force)
     doc = fitted_pair_to_dict(
         FittedPair(pair_features(seg), report.params, float(pair.dependent[0])),
-        rmse=report.rmse,
-        dropped_fraction=report.dropped_fraction,
-        pso_used=report.pso_used,
-        stability_notes=report.notes,
+        rmse=report.rmse, dropped_fraction=report.dropped_fraction,
+        pso_used=report.pso_used, stability_notes=report.notes,
         sample_period=series.sample_period,
         channels={"control": args.control, "dependent": args.dependent},
-        seed=config.seed,
-    )
-    _write_json(args.out, doc)
-    _write_manifest(
-        "fit-ode", args.out, config.seed,
-        {"fit": fit_doc, "structure": STRUCTURE_ID}, [args.data] + inputs,
-    )
+        seed=config.seed)
+    _publish(args, config.seed, {"fit": fit_doc, "structure": STRUCTURE_ID},
+             [args.data] + inputs, lambda out: _write_json(out, doc))
     return 0
 
 
 def cmd_synth_control(args):
-    series_list = _load_series_any(args.data)
-    segmentations = [
-        segment_control(
-            s, args.channel,
-            AUTO if args.threshold is None else args.threshold,
-            min_duration=args.min_duration,
-        )
-        for s in series_list
-    ]
-    profile = build_profile(segmentations, bins=args.bins)
-    _ensure_out_file(args.out, args.force)
-    _write_json(args.out, profile_to_dict(profile))
-    _write_manifest(
-        "synth-control", args.out, None,
-        {"channel": args.channel, "bins": args.bins,
-         "min_duration": args.min_duration, "threshold": args.threshold},
-        [args.data],
-    )
+    threshold = AUTO if args.threshold is None else args.threshold
+    segmentations = [segment_control(s, args.channel, threshold,
+                                     min_duration=args.min_duration)
+                     for s in _load_series_any(args.data, (args.channel,))]
+    doc = profile_to_dict(build_profile(segmentations, bins=args.bins))
+    _publish(args, None,
+             {"channel": args.channel, "bins": args.bins,
+              "min_duration": args.min_duration, "threshold": args.threshold},
+             [args.data], lambda out: _write_json(out, doc))
     return 0
-
-
-def _read_donor(doc):
-    """A donor model document's fitted pair, sample period and channel names."""
-    channels = doc.get("channels") or {"control": "control",
-                                       "dependent": "dependent"}
-    return (fitted_pair_from_dict(doc), float(doc["sample_period"]),
-            (channels["control"], channels["dependent"]))
 
 
 def cmd_augment(args):
     profile = _read_doc(args.profile, profile_from_dict)
-    donors = [_read_doc(path, _read_donor) for path in args.models]
+    donors = [_read_doc(path, donor_from_dict) for path in args.models]
     periods = {period for _, period, _ in donors}
     if len(periods) != 1:
         raise ValueError("donor models must share one sample period")
@@ -242,53 +249,44 @@ def cmd_augment(args):
         sample_period=periods.pop(),
         channel_names=donors[0][2],
     )
-    _ensure_out_dir(args.out, args.force)
-    records = []
-    for k in range(plan.count):
-        series, record = generate_with_record(plan, k)
-        write_csv(series, os.path.join(args.out, f"generated_{k:03d}.csv"))
-        records.append({
-            "index": record.index,
-            "donor_index": record.donor_index,
-            "donor_model": args.models[record.donor_index],
-            "seed_key": list(record.seed_key),
-        })
-    _write_manifest(
-        "augment", args.out, args.seed,
-        {"count": args.count, "length": args.length},
-        [args.profile] + list(args.models),
-        extra={"generated": records},
-    )
+
+    def write(out):
+        records = []
+        for k in range(plan.count):
+            series, record = generate_with_record(plan, k)
+            write_csv(series, os.path.join(out, f"generated_{k:03d}.csv"))
+            records.append({**asdict(record),
+                            "donor_model": args.models[record.donor_index]})
+        return {"generated": records}
+
+    _publish(args, args.seed, {"count": args.count, "length": args.length},
+             [args.profile] + list(args.models), write)
     return 0
 
 
 def cmd_inject(args):
-    series = read_csv(args.data)
+    series = read_csv(args.data, (args.control, args.channel))
     seg = segment_control(series, args.control, AUTO, min_duration=2)
     model = None
     if args.model:
         model = _read_doc(args.model, fitted_pair_from_dict).params
-    spec = AnomalySpec(
-        kind=AnomalyKind[args.kind.upper()],
-        duration=args.duration,
-        magnitude=args.magnitude,
-        count=args.count,
-        seed=args.seed,
-    )
-    labeled, report = inject(series, seg, model, spec, args.channel)
-    _ensure_out_file(args.out, args.force)
-    write_csv(labeled, args.out)
-    _write_manifest(
-        "inject", args.out, args.seed,
-        {"kind": args.kind, "duration": args.duration,
-         "magnitude": args.magnitude, "count": args.count,
-         "channel": args.channel, "control": args.control},
-        [args.data] + ([args.model] if args.model else []),
-        extra={"regions": [
-            {"start": s, "end": e, "kind": k.name.lower()}
-            for s, e, k in report.regions
-        ]},
-    )
+    spec = AnomalySpec(AnomalyKind[args.kind.upper()], args.duration,
+                       args.magnitude, args.count, args.seed)
+    try:
+        labeled, report = inject(series, seg, model, spec, args.channel)
+    except PlacementError as exc:
+        raise PlacementError(f"{args.data}: {exc}") from None
+
+    def write(out):
+        write_csv(labeled, out)
+        return {"regions": [{"start": s, "end": e, "kind": k.name.lower()}
+                            for s, e, k in report.regions]}
+
+    _publish(args, args.seed,
+             {"kind": args.kind, "duration": args.duration,
+              "magnitude": args.magnitude, "count": args.count,
+              "channel": args.channel, "control": args.control},
+             [args.data] + ([args.model] if args.model else []), write)
     return 0
 
 
@@ -313,106 +311,88 @@ def cmd_train(args):
         if args.predicted else None)
     val_series = _load_series_any(args.val_normal) if args.val_normal else None
     net, log = train(series_list, config, val_series=val_series)
-    _ensure_out_file(args.out, args.force)
-    _write_json(args.out, network_to_dict(net, config))
-    _write_manifest(
-        "train", args.out, config.seed, cfg_doc,
-        [args.data] + inputs + ([args.val_normal] if args.val_normal else []),
-        extra={"training_log": {
-            "train_losses": log.train_losses,
-            "val_losses": log.val_losses,
-            "best_epoch": log.best_epoch,
-            "stopped_early": log.stopped_early,
-        }},
-    )
+
+    def write(out):
+        _write_json(out, network_to_dict(net, config))
+        return {"training_log": asdict(log)}
+
+    _publish(args, config.seed, cfg_doc,
+             [args.data] + inputs + ([args.val_normal] if args.val_normal else []),
+             write)
     return 0
 
 
 def cmd_threshold(args):
-    net, config = _read_doc(args.net, network_from_dict)
+    net, config = _read_doc(args.net, _read_network)
     scorer, achieved = calibrate_scorer(
-        net, config, _load_series_any(args.normal),
-        _load_series_any(args.labeled), args.ridge, args.beta,
-    )
-    _ensure_out_file(args.out, args.force)
-    _write_json(args.out, scorer_to_dict(scorer))
-    _write_manifest(
-        "threshold", args.out, None,
-        {"ridge": args.ridge, "beta": args.beta, "achieved_f": achieved},
-        [args.net, args.normal, args.labeled],
-    )
+        net, config, _load_series_any(args.normal, config.input_channels),
+        _load_series_any(args.labeled, config.input_channels, True), args.ridge,
+        args.beta)
+    _publish(args, None,
+             {"ridge": args.ridge, "beta": args.beta, "achieved_f": achieved},
+             [args.net, args.normal, args.labeled],
+             lambda out: _write_json(out, scorer_to_dict(scorer)))
     return 0
 
 
 def cmd_detect(args):
     net, config, scorer = _load_detector(args)
-    if os.path.isdir(args.data):
-        names = sorted(f for f in os.listdir(args.data) if f.endswith(".csv"))
-        paths = [os.path.join(args.data, f) for f in names]
-    else:
-        names = [os.path.basename(args.data)]
-        paths = [args.data]
-    series_list = [read_csv(path) for path in paths]
-    # every input is read and scored before the old output is removed
+    paths = _csv_paths(args.data)
+    series_list = [read_csv(path, config.input_channels) for path in paths]
     all_scores = score_many(net, config, scorer, series_list)
-    _ensure_out_dir(args.out, args.force)
-    for name, series, scores in zip(names, series_list, all_scores):
-        flags = scores < scorer.threshold
-        out_path = os.path.join(args.out, name.replace(".csv", ".detections.csv"))
-        with open(out_path, "w") as fh:
-            fh.write("t,score,flag\n")
-            for i in range(len(series)):
-                t = repr(i * series.sample_period)
-                fh.write(f"{t},{repr(float(scores[i]))},{int(flags[i])}\n")
-    _write_manifest("detect", args.out, None, {}, [args.net, args.scorer, args.data])
+
+    def write(out):
+        for path, series, scores in zip(paths, series_list, all_scores):
+            flags = scores < scorer.threshold
+            name = os.path.basename(path).replace(".csv", ".detections.csv")
+            _write_text(os.path.join(out, name), "t,score,flag\n" + "".join(
+                f"{repr(i * series.sample_period)},"
+                f"{repr(float(scores[i]))},{int(flags[i])}\n"
+                for i in range(len(series))))
+
+    _publish(args, None, {}, [args.net, args.scorer, args.data], write)
     return 0
 
 
 def cmd_evaluate(args):
     net, config, scorer = _load_detector(args)
-    series_list = _load_series_any(args.data)
+    series_list = _load_series_any(args.data, config.input_channels, True)
     p, r, f = detection_metrics(net, config, scorer, series_list)
     n_points = sum(len(series) for series in series_list)
     report = MetricsReport([RegimeRow("eval", len(series_list), n_points, p, r, f)])
     text = report.to_csv_text() if args.format == "csv" else report.to_table_text()
-    if not args.out:
+    if args.out:
+        _publish(args, None, {"format": args.format},
+                 [args.net, args.scorer, args.data],
+                 lambda out: _write_text(out, text))
+    else:
         sys.stdout.write(text)
-        return 0
-    _ensure_out_file(args.out, args.force)
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    _write_manifest("evaluate", args.out, None, {"format": args.format},
-                    [args.net, args.scorer, args.data])
     return 0
 
 
 def cmd_experiment(args):
     config, _, inputs = _config(args, BenchmarkConfig)
     regimes = args.regimes.split(",") if args.regimes else list(REGIMES)
-    bench = gen_benchmark(config)
-    report = run_experiment(bench, regimes)
-    _ensure_out_dir(args.out, args.force)
-    with open(os.path.join(args.out, "report.csv"), "w") as fh:
-        fh.write(report.to_csv_text())
-    with open(os.path.join(args.out, "report.txt"), "w") as fh:
-        fh.write(report.to_table_text())
-    _write_manifest("experiment", args.out, config.seed,
-                    config_to_dict(config), inputs)
+    report = run_experiment(gen_benchmark(config), regimes)
+
+    def write(out):
+        _write_text(os.path.join(out, "report.csv"), report.to_csv_text())
+        _write_text(os.path.join(out, "report.txt"), report.to_table_text())
+
+    _publish(args, config.seed, config_to_dict(config), inputs, write)
     return 0
 
 
 def cmd_curve(args):
     config, _, inputs = _config(args, BenchmarkConfig)
     fractions = [float(q) for q in args.fractions.split(",")]
-    bench = gen_benchmark(config)
-    curve = augmentation_curve(bench, fractions)
-    _ensure_out_dir(args.out, args.force)
-    with open(os.path.join(args.out, "curve.csv"), "w") as fh:
-        fh.write(curve_to_csv_text(curve))
-    _write_manifest(
-        "curve", args.out, config.seed, config_to_dict(config), inputs,
-        extra={"fractions": fractions},
-    )
+    curve = augmentation_curve(gen_benchmark(config), fractions)
+
+    def write(out):
+        _write_text(os.path.join(out, "curve.csv"), curve_to_csv_text(curve))
+        return {"fractions": fractions}
+
+    _publish(args, config.seed, config_to_dict(config), inputs, write)
     return 0
 
 
@@ -426,14 +406,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command_name", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, out_dir=False, **kwargs):
+        # out_dir: whether --out names a directory rather than a file
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func, command_name=name)
+        p.set_defaults(func=func, command_name=name, out_dir=out_dir)
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
         return p
 
-    p = add("gen-data", cmd_gen_data, help="generate the seeded benchmark datasets")
+    p = add("gen-data", cmd_gen_data, out_dir=True,
+            help="generate the seeded benchmark datasets")
     p.add_argument("--config", help="benchmark config JSON")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True, help="output directory")
@@ -457,7 +439,8 @@ def build_parser():
                    help="fixed high/low threshold (default: auto)")
     p.add_argument("--out", required=True, help="output profile JSON")
 
-    p = add("augment", cmd_augment, help="generate synthetic series pairs")
+    p = add("augment", cmd_augment, out_dir=True,
+            help="generate synthetic series pairs")
     p.add_argument("--profile", required=True, help="control profile JSON")
     p.add_argument("--models", required=True, nargs="+",
                    help="fitted donor model JSONs")
@@ -498,7 +481,8 @@ def build_parser():
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--out", required=True, help="output scorer JSON")
 
-    p = add("detect", cmd_detect, help="flag anomalous points in series")
+    p = add("detect", cmd_detect, out_dir=True,
+            help="flag anomalous points in series")
     p.add_argument("--net", required=True)
     p.add_argument("--scorer", required=True)
     p.add_argument("--data", required=True, help="series CSV file or directory")
@@ -511,14 +495,15 @@ def build_parser():
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--out", help="report output file (default: stdout)")
 
-    p = add("experiment", cmd_experiment,
+    p = add("experiment", cmd_experiment, out_dir=True,
             help="run the multi-regime training experiment")
     p.add_argument("--config", help="benchmark config JSON")
     p.add_argument("--seed", type=int)
     p.add_argument("--regimes", help="comma-separated regime names")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = add("curve", cmd_curve, help="augmentation-fraction curve")
+    p = add("curve", cmd_curve, out_dir=True,
+            help="augmentation-fraction curve")
     p.add_argument("--config", help="benchmark config JSON")
     p.add_argument("--seed", type=int)
     p.add_argument("--fractions", default="0,0.25,0.5,0.75,1")
@@ -534,6 +519,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_out(args)
         return args.func(args)
     except _RUNTIME_ERRORS as exc:
         print(f"odeaug {args.command_name}: error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_count
+from .errors import check_count, check_real
 
 #: The two control states, in the order profile documents list them.
 STATES = ("high", "low")
@@ -132,11 +132,13 @@ class Histogram:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", np.asarray(self.edges, dtype=float))
+        if np.asarray(self.counts).dtype.kind not in "iu":
+            raise ValueError("histogram counts must be integers")
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=int))
-        if self.edges.ndim != 1 or self.counts.shape[0] != self.edges.shape[0] - 1:
+        if self.edges.ndim != 1 or self.counts.shape != (self.edges.shape[0] - 1,):
             raise ValueError("need len(edges) == len(counts) + 1")
-        if not np.all(np.diff(self.edges) > 0):
-            raise ValueError("bin edges must be strictly increasing")
+        if not (np.isfinite(self.edges).all() and np.all(np.diff(self.edges) > 0)):
+            raise ValueError("bin edges must be finite and strictly increasing")
         if np.any(self.counts < 0) or int(self.counts.sum()) < 1:
             raise ValueError("counts must be non-negative with at least one nonzero bin")
 
@@ -269,6 +271,10 @@ class PairFeatures:
     mean_high_level: float
     mean_low_level: float
 
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            check_real(name, getattr(self, name))
+
     def as_array(self):
         return np.array([
             self.mean_high_duration,
@@ -349,17 +355,20 @@ def profile_to_dict(profile):
 def profile_from_dict(doc):
     if doc.get("kind") != "control-profile":
         raise ValueError("not a control profile document")
-    if doc["single_state"] not in (None, *STATES):
-        raise ValueError(f"unknown single_state {doc['single_state']!r}")
-    return ControlProfile(
-        duration_hists={
-            st: _hist_from_dict(doc["states"][st]["duration"]) for st in STATES
-        },
-        level_hists={
-            st: _hist_from_dict(doc["states"][st]["level"]) for st in STATES
-        },
-        start_state_counts=tuple(
-            int(doc["start_state_counts"][st]) for st in STATES),
-        source_count=int(doc["source_count"]),
-        single_state=doc["single_state"],
-    )
+    single = doc["single_state"]
+    if single not in (None, *STATES):
+        raise ValueError(f"unknown single_state {single!r}")
+    hists = {kind: {st: _hist_from_dict(doc["states"][st][kind])
+                    for st in STATES} for kind in ("duration", "level")}
+    # sampling reads every histogram, or a single state's level alone
+    needed = ([(kind, st) for kind in hists for st in STATES]
+              if single is None else [("level", single)])
+    if any(hists[kind][st] is None for kind, st in needed):
+        raise ValueError("a sampled state lacks a histogram")
+    counts = tuple(doc["start_state_counts"][st] for st in STATES)
+    for value in counts:
+        check_count("start_state_counts", value, 0)
+    check_count("source_count", doc["source_count"])
+    return ControlProfile(hists["duration"], hists["level"],
+                          tuple(map(int, counts)), int(doc["source_count"]),
+                          single)

@@ -50,10 +50,16 @@ class PredictorConfig:
             raise ValueError("layer_sizes must be non-empty")
         for h in self.layer_sizes:
             check_count("layer_sizes", h)
-        if not self.predicted_channels:
-            raise ValueError("need at least one predicted channel")
-        if not self.input_channels:
-            raise ValueError("need at least one input channel")
+        names = self.input_channels + self.predicted_channels
+        if not (self.input_channels and self.predicted_channels
+                and all(isinstance(c, str) for c in names)):
+            raise ValueError("need input and predicted channels, named by "
+                             f"strings, got {names!r}")
+        for stats in (self.norm_mean, self.norm_std):
+            if stats is not None and not (isinstance(stats, dict)
+                                          and set(names) <= set(stats)):
+                raise ValueError("norm_mean and norm_std must map every "
+                                 f"channel to a number, got {stats!r}")
         for name in ("prediction_length", "epochs", "tbptt_length",
                      "series_batch_size", "patience"):
             check_count(name, getattr(self, name))

@@ -63,8 +63,9 @@ class OdeParams:
         norm = []
         prev_end = None
         for start, end, params in self.windows:
-            start, end = int(start), int(end)
-            params = tuple(float(p) for p in params)
+            check_count("window start", start, 0)
+            check_count("window end", end)
+            start, end, params = int(start), int(end), tuple(params)
             if end <= start:
                 raise ValueError(f"empty window ({start}, {end})")
             if len(params) != PARAM_COUNT:
@@ -74,9 +75,9 @@ class OdeParams:
                 )
             if prev_end is not None and start != prev_end:
                 raise ValueError("windows must be contiguous and ordered")
-            if not all(math.isfinite(p) for p in params):
-                raise ValueError("window parameters must be finite")
-            norm.append((start, end, params))
+            for p in params:
+                check_real("window parameters", p)
+            norm.append((start, end, tuple(float(p) for p in params)))
             prev_end = end
         self.windows = norm
 

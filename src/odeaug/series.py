@@ -177,11 +177,12 @@ LABEL_COLUMN = "label"
 _REL_STEP_TOL = 1e-6
 
 
-def read_csv(path):
+def read_csv(path, channels=(), labeled=False):
     """Read one series from a CSV file, validating the schema.
 
     Raises :class:`CsvFormatError` with the offending line number on any
-    deviation from the schema.
+    deviation from the schema, which includes a missing one of
+    ``channels`` and, if ``labeled``, a missing label column.
     """
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
@@ -195,6 +196,11 @@ def read_csv(path):
         names = header[1:-1] if has_label else header[1:]
         if not names:
             raise CsvFormatError(path, 1, "no data channels in header")
+        missing = [c for c in channels if c not in names]
+        if missing:
+            raise CsvFormatError(path, 1, f"missing channels {missing}")
+        if labeled and not has_label:
+            raise CsvFormatError(path, 1, "no label column")
 
         times, rows, labels = [], [], []
         for lineno, row in enumerate(reader, start=2):
@@ -254,12 +260,3 @@ def write_csv(series, path):
                 row.append(str(int(series.labels[i])))
             writer.writerow(row)
 
-
-def read_csv_dir(path):
-    """Read every ``*.csv`` under ``path`` (sorted by name) as one series each."""
-    import os
-
-    files = sorted(f for f in os.listdir(path) if f.endswith(".csv"))
-    if not files:
-        raise ValueError(f"no CSV files under {path}")
-    return [read_csv(os.path.join(path, f)) for f in files]

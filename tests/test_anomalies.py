@@ -225,6 +225,23 @@ class TestAnomalySpecValidation:
         with pytest.raises(ValueError):
             AnomalySpec(AnomalyKind.ZERO, duration=1.5)
 
+    def test_numpy_integer_duration_is_a_sample_count(self):
+        # a numpy integer was rejected, and a stored one would not pass
+        # pick_injection_regions' isinstance(duration, int) dispatch
+        series, seg, _ = plant_series()
+        spec = AnomalySpec(AnomalyKind.ZERO, duration=np.int64(5), count=3,
+                           seed=1)
+        assert type(spec.duration) is int
+        assert pick_injection_regions(seg, spec, len(series)) == \
+            pick_injection_regions(
+                seg, AnomalySpec(AnomalyKind.ZERO, duration=5, count=3, seed=1),
+                len(series))
+
+    @pytest.mark.parametrize("value", [True, "5", np.float32(0.5)])
+    def test_duration_of_another_type_is_rejected(self, value):
+        with pytest.raises(ValueError, match="duration"):
+            AnomalySpec(AnomalyKind.ZERO, duration=value)
+
     def test_bad_magnitude(self):
         with pytest.raises(ValueError):
             AnomalySpec(AnomalyKind.NOISE, magnitude=-1.0)

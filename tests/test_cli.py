@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from odeaug import cli, experiment
+from odeaug import cli, experiment, lstm
 from odeaug.anomalies import AnomalyKind, AnomalySpec, pick_injection_regions
 from odeaug.cli import main
 from odeaug.control import segment_control
@@ -18,6 +18,17 @@ from odeaug.series import TimeSeries, read_csv, write_csv
 
 def run(*argv):
     return main(list(argv))
+
+
+@pytest.fixture(autouse=True)
+def no_staging_left(tmp_path):
+    """Fail a test that leaves a staging directory anywhere under its
+    ``tmp_path``: every failing run must clean up after itself."""
+    yield
+    left = [os.path.join(base, name)
+            for base, dirs, files in os.walk(tmp_path)
+            for name in dirs + files if name.startswith(cli.STAGE_PREFIX)]
+    assert left == []
 
 
 @pytest.fixture(scope="module")
@@ -577,6 +588,44 @@ class TestPipelineHandoff:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command, document, edit", [
+        ("detect", "net", lambda doc: [1, 2]),
+        ("augment", "model", lambda doc: [1, 2]),
+        ("augment", "profile", lambda doc: {**doc, "source_count": "1e999"}),
+        ("augment", "model", lambda doc: {**doc, "windows": [
+            {**doc["windows"][0], "end": "1e999"}]}),
+        ("augment", "profile", lambda doc: {**doc, "states": {
+            **doc["states"], "high": {**doc["states"]["high"], "duration": {
+                **doc["states"]["high"]["duration"],
+                "counts": [2.7] + doc["states"]["high"]["duration"]["counts"][1:],
+            }}}}),
+    ], ids=["list-net", "list-model", "inf-source-count", "inf-window-end",
+            "fractional-count"])
+    def test_bad_document_exits_1_naming_file(self, artifacts, data_dir,
+                                              tmp_path, capsys, command,
+                                              document, edit):
+        # a list ended in an AttributeError and 1e999 in an OverflowError;
+        # a count of 2.7 was truncated to 2 and augment exited 0
+        paths = {"model": artifacts["models"][0],
+                 "profile": artifacts["profile"], "net": artifacts["net"]}
+        broken = tmp_path / f"broken_{document}.json"
+        text = json.dumps(edit(json.load(open(paths[document]))))
+        broken.write_text(text.replace('"1e999"', "1e999"))
+        paths[document] = str(broken)
+        out = tmp_path / "out"
+        argv = {
+            "augment": ["--profile", paths["profile"], "--models",
+                        paths["model"], "--count", "2", "--length", "100"],
+            "detect": ["--net", paths["net"], "--scorer", artifacts["scorer"],
+                       "--data", os.path.join(data_dir, "test")],
+        }[command]
+        assert run(command, *argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith(f"odeaug {command}: error: {broken}")
+        assert not out.exists()
+
+
 class TestConfigFiles:
     @pytest.mark.parametrize("command, doc, word", [
         ("gen-data", {"n_small": 2.5}, "n_small"),
@@ -700,3 +749,158 @@ class TestExperimentCommands:
             assert run("experiment", "--config", bench_config, "--seed", "5",
                        "--regimes", "S(r)", "--out", str(out)) == 0
         assert tree_bytes(a) == tree_bytes(b)
+
+
+class TestPublish:
+    """One output path: refusal before any work, staging beside ``--out``,
+    and inputs digested as they were read."""
+
+    def test_failed_gen_data_keeps_previous_output(self, tmp_path, monkeypatch,
+                                                   bench_config):
+        out = tmp_path / "bench"
+        assert run("gen-data", "--config", bench_config, "--out", str(out)) == 0
+        before = tree_bytes(out)
+        real_write_csv = cli.write_csv
+        calls = []
+
+        def failing_second_write(series, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real_write_csv(series, path)
+
+        monkeypatch.setattr(cli, "write_csv", failing_second_write)
+        assert run("gen-data", "--config", bench_config, "--seed", "9",
+                   "--out", str(out), "--force") == 1
+        assert len(calls) == 2
+        assert tree_bytes(out) == before
+        assert os.listdir(tmp_path) == ["bench"]
+        monkeypatch.setattr(cli, "write_csv", real_write_csv)
+        assert run("gen-data", "--config", bench_config, "--seed", "9",
+                   "--out", str(out), "--force") == 0
+        assert tree_bytes(out) != before
+
+    def test_failed_augment_keeps_previous_output(self, artifacts, tmp_path,
+                                                  capsys):
+        out = tmp_path / "generated"
+        argv = ["augment", "--profile", artifacts["profile"], "--count", "3",
+                "--length", "100", "--seed", "4", "--out", str(out)]
+        assert run(*argv, "--models", artifacts["models"][0]) == 0
+        before = tree_bytes(out)
+        # a decay of -800 overflows within the first generated pair
+        doc = json.load(open(artifacts["models"][0]))
+        doc["windows"] = [{**doc["windows"][0], "params": [1.0, -800.0, 0.0]}]
+        donor = tmp_path / "diverging.json"
+        donor.write_text(json.dumps(doc))
+        assert run(*argv, "--models", str(donor), "--force") == 1
+        assert "diverged" in capsys.readouterr().err
+        assert tree_bytes(out) == before
+        assert sorted(os.listdir(tmp_path)) == ["diverging.json", "generated"]
+        assert run(*argv, "--models", artifacts["models"][1], "--force") == 0
+        assert tree_bytes(out) != before
+
+    def test_file_command_failing_mid_write_keeps_old_file(
+            self, artifacts, data_dir, tmp_path, monkeypatch):
+        out = tmp_path / "scorer.json"
+        argv = ["threshold", "--net", artifacts["net"],
+                "--normal", os.path.join(data_dir, "val_normal"),
+                "--labeled", os.path.join(data_dir, "val_anomalous"),
+                "--out", str(out)]
+        assert run(*argv) == 0
+        before = tree_bytes(tmp_path)
+
+        def failing_write_json(path, doc):
+            with open(path, "w") as fh:
+                fh.write(json.dumps(doc)[:20])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_json", failing_write_json)
+        assert run(*argv, "--ridge", "1e-3", "--force") == 1
+        assert tree_bytes(tmp_path) == before
+        assert sorted(before) == ["scorer.json", "scorer.json.manifest.json"]
+
+    @pytest.mark.parametrize("command", ["fit-ode", "train", "threshold"])
+    def test_existing_output_is_refused_before_any_work(
+            self, artifacts, data_dir, tmp_path, monkeypatch, capsys,
+            command):
+        calls = []
+        for module, name in ((cli, "fit"), (lstm, "train_many"),
+                             (experiment, "predict_many")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name,
+                                **k: calls.append(name) or real(*a, **k))
+        out = tmp_path / "old.json"
+        out.write_text("old")
+        small = os.path.join(data_dir, "small")
+        argv = {
+            "fit-ode": ["--data", os.path.join(small, "series_000.csv"),
+                        "--control", "control", "--dependent", "response",
+                        "--pso"],
+            "train": ["--data", small],
+            "threshold": ["--net", artifacts["net"],
+                          "--normal", os.path.join(data_dir, "val_normal"),
+                          "--labeled", os.path.join(data_dir, "val_anomalous")],
+        }[command]
+        assert run(command, *argv, "--out", str(out)) == 1
+        assert "exists (use --force)" in capsys.readouterr().err
+        assert calls == []
+        assert os.listdir(tmp_path) == ["old.json"]
+        assert out.read_text() == "old"
+
+    @pytest.mark.parametrize("command, out, kind", [
+        ("gen-data", "file", "an existing file"),
+        ("fit-ode", "dir", "a directory"),
+    ])
+    def test_wrong_kind_of_output_is_refused_even_with_force(
+            self, data_dir, tmp_path, capsys, command, out, kind):
+        path = tmp_path / "out"
+        if out == "file":
+            path.write_text("old")
+        else:
+            path.mkdir()
+        argv = {"gen-data": [],
+                "fit-ode": ["--data", os.path.join(data_dir, "small",
+                                                   "series_000.csv"),
+                            "--control", "control", "--dependent", "response"]}
+        assert run(command, *argv[command], "--out", str(path),
+                   "--force") == 1
+        assert kind in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_empty_output_directory_is_accepted(self, bench_config, tmp_path):
+        out = tmp_path / "bench"
+        out.mkdir()
+        assert run("gen-data", "--config", bench_config, "--out", str(out)) == 0
+        assert "manifest.json" in os.listdir(out)
+        # a plain mkdir's mode, not the staging directory's 0700
+        probe = tmp_path / "probe"
+        probe.mkdir()
+        assert out.stat().st_mode == probe.stat().st_mode
+
+    def test_inject_over_its_input_records_the_input_as_read(
+            self, data_dir, tmp_path):
+        series = tmp_path / "s.csv"
+        series.write_bytes(open(os.path.join(data_dir, "small",
+                                             "series_000.csv"), "rb").read())
+        digest = cli._sha256(series)
+        assert run("inject", "--data", str(series), "--channel", "response",
+                   "--control", "control", "--kind", "zero", "--duration", "6",
+                   "--out", str(series), "--force") == 0
+        manifest = json.load(open(str(series) + ".manifest.json"))
+        assert manifest["inputs"] == {str(series): {"s.csv": digest}}
+        assert manifest["outputs"] == {"s.csv": cli._sha256(series)}
+        assert manifest["outputs"]["s.csv"] != digest
+
+    def test_synth_control_inside_its_input_leaves_itself_out(
+            self, data_dir, tmp_path):
+        obs = tmp_path / "obs"
+        obs.mkdir()
+        small = os.path.join(data_dir, "small")
+        for name in os.listdir(small):
+            (obs / name).write_bytes(open(os.path.join(small, name), "rb").read())
+        names = sorted(os.listdir(obs))
+        assert run("synth-control", "--data", str(obs), "--channel", "control",
+                   "--out", str(obs / "profile.json")) == 0
+        manifest = json.load(open(obs / "profile.json.manifest.json"))
+        assert sorted(manifest["inputs"][str(obs)]) == names
+        assert "profile.json" not in manifest["inputs"][str(obs)]

@@ -244,6 +244,27 @@ class TestBuildProfile:
         with pytest.raises(ValueError, match="single_state"):
             profile_from_dict(doc)
 
+    @pytest.mark.parametrize("path, value, match", [
+        # a count of 2.7 was truncated to 2
+        (("states", "high", "duration", "counts", 0), 2.7, "integers"),
+        (("states", "low", "level", "edges", -1), math.inf, "finite"),
+        (("states", "low", "duration"), None, "lacks a histogram"),
+        (("start_state_counts", "high"), 1.5, "start_state_counts"),
+        (("start_state_counts", "low"), -1, "start_state_counts"),
+        # inf used to end in an OverflowError
+        (("source_count",), math.inf, "source_count"),
+    ])
+    def test_bad_document_value_rejected(self, path, value, match):
+        wave = [0.1] * 6 + [0.9] * 4 + [0.1] * 5 + [0.9] * 7
+        seg = segment_control(series_of(wave), "u", 0.5, min_duration=2)
+        doc = profile_to_dict(build_profile([seg]))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError, match=match):
+            profile_from_dict(doc)
+
 
 class TestSampleControl:
     def _point_mass_profile(self):
@@ -309,6 +330,11 @@ class TestSelectDonor:
             PairFeatures(15, 12, 1.5, 0.2),
         ]
         assert select_donor(feats[1], feats) == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, None, "1", True])
+    def test_features_must_be_finite_numbers(self, value):
+        with pytest.raises(ValueError, match="mean_low_level"):
+            PairFeatures(10, 10, 1.0, value)
 
     def test_single_training_pair(self):
         f = PairFeatures(10, 10, 1.0, 0.1)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from odeaug.anomalies import AnomalyKind
 from odeaug.benchmark import (BenchmarkConfig, LstmSettings, config_to_dict,
                               gen_benchmark)
 from odeaug.experiment import (REGIMES, augmentation_curve, build_generated,
@@ -108,6 +109,31 @@ class TestGenBenchmark:
         # IndexError
         with pytest.raises(ValueError, match=re.escape(name)):
             tiny_config(**{name: value})
+
+    @pytest.mark.parametrize("kind", [True, False, 2.0, 1.5, None])
+    def test_config_rejects_a_kind_that_is_no_name_or_number(self, kind):
+        # True was ZERO and 2.0 was OUT_OF_RANGE
+        with pytest.raises(ValueError, match="anomaly_kinds"):
+            tiny_config(anomaly_kinds=[kind])
+
+    def test_config_accepts_kinds_by_name_number_and_value(self):
+        config = tiny_config(anomaly_kinds=["zero", np.int64(2), 3,
+                                            AnomalyKind.NOISE])
+        assert config.anomaly_kinds == (AnomalyKind.ZERO,
+                                        AnomalyKind.OUT_OF_RANGE,
+                                        AnomalyKind.WRONG_STATE,
+                                        AnomalyKind.NOISE)
+
+    @pytest.mark.parametrize("value", [1.0, 5.0, -0.5])
+    def test_config_rejects_param_jitter_outside_unit_interval(self, value):
+        # a jitter of 1 or more can draw a decay <= 0, a series that grows
+        # without bound
+        with pytest.raises(ValueError, match="param_jitter"):
+            tiny_config(param_jitter=value)
+
+    @pytest.mark.parametrize("value", [0, 0.99])
+    def test_config_accepts_param_jitter_in_unit_interval(self, value):
+        assert tiny_config(param_jitter=value).param_jitter == value
 
     def test_config_accepts_numpy_counts(self):
         config = tiny_config(n_small=np.int64(3), duration_range=np.array([5, 9]))

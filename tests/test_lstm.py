@@ -163,6 +163,20 @@ def test_config_rejects_bad_value(name, value):
         toy_config(**{name: value})
 
 
+@pytest.mark.parametrize("name, value, match", [
+    ("input_channels", ("a", None), "named by strings"),
+    ("predicted_channels", (["b"],), "named by strings"),
+    ("norm_mean", [0.0, 0.0], "norm_mean"),
+    ("norm_mean", {"a": 0.0}, "norm_mean"),
+    ("norm_std", {"b": 1.0}, "norm_std"),
+])
+def test_config_rejects_bad_channels_and_stats(name, value, match):
+    # each was accepted, and prediction failed later with an
+    # AttributeError or a KeyError
+    with pytest.raises(ValueError, match=match):
+        toy_config(**{name: value})
+
+
 class TestPredict:
     def _series(self, n=30, seed=0):
         rng = np.random.default_rng(seed)

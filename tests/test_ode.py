@@ -60,6 +60,18 @@ class TestOdeParams:
         with pytest.raises(ValueError, match="contiguous"):
             OdeParams([(0, 10, (1, 1, 0)), (12, 20, (1, 1, 0))])
 
+    @pytest.mark.parametrize("window, match", [
+        # int() truncated 10.5, and float() took True and "1"
+        ((0, 10.5, (1, 1, 0)), "window end"),
+        (("0", 10, (1, 1, 0)), "window start"),
+        ((0, 10, (True, 1, 0)), "window parameters"),
+        ((0, 10, ("1", 1, 0)), "window parameters"),
+        ((0, 10, (1, math.nan, 0)), "window parameters"),
+    ])
+    def test_window_fields_are_checked(self, window, match):
+        with pytest.raises(ValueError, match=match):
+            OdeParams([window])
+
     def test_stability_note_for_nonpositive_decay(self):
         p = OdeParams.single((1.0, -0.5, 0.0), 10)
         notes = stability_notes(p)

@@ -229,6 +229,19 @@ class TestCsvRoundTrip:
         assert err.value.line == line
         assert f":{line}:" in str(err.value)
 
+    @pytest.mark.parametrize("channels, labeled, match", [
+        (("x", "u"), False, r"missing channels \['u'\]"),
+        (("x",), True, "no label column"),
+    ])
+    def test_required_schema_is_checked_on_the_header(
+            self, tmp_path, channels, labeled, match):
+        path = tmp_path / "s.csv"
+        path.write_text("t,x\n0.0,1\n0.1,2\n")
+        assert len(read_csv(path, ("x",))) == 2
+        with pytest.raises(CsvFormatError, match=match) as err:
+            read_csv(path, channels, labeled)
+        assert err.value.line == 1 and str(path) in str(err.value)
+
     def test_rejects_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,x\n0.0,1\n0.1\n")
