@@ -23,7 +23,7 @@ from .augment import (AugmentationPlan, donor_from_dict, fitted_pair_from_dict,
 from .benchmark import BenchmarkConfig, config_to_dict, gen_benchmark
 from .control import (AUTO, build_profile, pair_features, profile_from_dict,
                       profile_to_dict, segment_control)
-from .errors import PlacementError
+from .errors import GenerationError, PlacementError
 from .experiment import (REGIMES, augmentation_curve, calibrate_scorer,
                          curve_to_csv_text, detection_metrics, run_experiment)
 # ``predict``, ``score_series``, ``error_vectors`` and ``select_threshold``
@@ -253,7 +253,11 @@ def cmd_augment(args):
     def write(out):
         records = []
         for k in range(plan.count):
-            series, record = generate_with_record(plan, k)
+            try:
+                series, record = generate_with_record(plan, k)
+            except GenerationError as exc:
+                raise RuntimeError(
+                    f"{args.models[exc.donor_index]}: {exc}") from None
             write_csv(series, os.path.join(out, f"generated_{k:03d}.csv"))
             records.append({**asdict(record),
                             "donor_model": args.models[record.donor_index]})
@@ -304,11 +308,17 @@ def _duration_arg(text):
 def cmd_train(args):
     series_list = _load_series_any(args.data)
     names = series_list[0].channel_names
+    predicted = args.predicted.split(",") if args.predicted else []
     config, cfg_doc, inputs = _config(
         args, PredictorConfig,
         defaults={"input_channels": names, "predicted_channels": names},
-        overrides={"predicted_channels": args.predicted.split(",")}
-        if args.predicted else None)
+        overrides={"predicted_channels": predicted} if predicted else None)
+    for name in (*config.input_channels, *config.predicted_channels):
+        if any(name not in series.channel_names for series in series_list):
+            # without --config or --predicted the names are the data's own
+            source = "--predicted" if name in predicted else args.config
+            raise ValueError(f"{source + ': ' if source else ''}"
+                             f"channel {name!r} is not in {args.data}")
     val_series = _load_series_any(args.val_normal) if args.val_normal else None
     net, log = train(series_list, config, val_series=val_series)
 

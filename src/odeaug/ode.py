@@ -134,8 +134,10 @@ def integrate(params, x0, control, dt, abs_bound=None):
     whole span, or a ``(P, 3)`` swarm of such vectors.  The control is held
     constant over each sample for the intra-step stages.  Returns one value
     per control sample, starting at ``x0``: an ``(n,)`` array, or ``(P, n)``
-    for a swarm, whose rows are stepped together in one time loop with the
-    same float64 arithmetic as ``P`` single calls.
+    for a swarm.  A single trajectory is stepped in plain floats
+    (:func:`_integrate_single`); a swarm is evaluated as an affine
+    recurrence (:func:`_integrate_swarm`), whose rows match single calls
+    to about 1e-14 relative, not bit for bit.
 
     Raises
     ------
@@ -158,37 +160,16 @@ def integrate(params, x0, control, dt, abs_bound=None):
                 f"swarm has {params.shape[1]}")
         if not np.all(np.isfinite(params)):
             raise ValueError("swarm parameters must be finite")
-        # one window whose parameters are P-length columns
-        windows = [(0, n, tuple(np.ascontiguousarray(params.T, dtype=float)))]
-        x = np.full(params.shape[0], float(x0))
-        out = np.empty((params.shape[0], n))
+        out = _integrate_swarm(params, float(x0), control, float(dt))
     else:
         if not isinstance(params, OdeParams):
             params = OdeParams.single(params, n)
-        windows = params.windows
-        x = float(x0)
-        out = np.empty(n)
-    f = rhs  # a local, looked up faster than the module global
-    out[..., 0] = x
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    # step i runs under the first window with i < end; the last window also
-    # covers every step past its end
-    stops = [min(max(end, 0), n - 1) for _, end, _ in windows[:-1]] + [n - 1]
-    with np.errstate(all="ignore"):
-        for start, stop, (_, _, p) in zip([0] + stops, stops, windows):
-            for i in range(start, stop):
-                u = control[i]
-                k1 = f(p, x, u)
-                k2 = f(p, x + half * k1, u)
-                k3 = f(p, x + half * k2, u)
-                k4 = f(p, x + dt * k3, u)
-                x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-                out[..., i + 1] = x
-        # every step is stored, so the first bad one is found exactly
-        steps = out[..., 1:]
-        bad = ~np.isfinite(steps)
-        if abs_bound is not None:
+        out = _integrate_single(params.windows, float(x0), control, float(dt))
+    # every step is stored, so the first bad one is found exactly
+    steps = out[..., 1:]
+    bad = ~np.isfinite(steps)
+    if abs_bound is not None:
+        with np.errstate(invalid="ignore"):
             bad |= np.abs(steps) > abs_bound
     if not swarm:
         if bad.any():
@@ -196,6 +177,98 @@ def integrate(params, x0, control, dt, abs_bound=None):
         return out
     for row in np.flatnonzero(bad.any(axis=-1)):
         out[row, int(np.argmax(bad[row])) + 1:] = np.nan
+    return out
+
+
+def _integrate_single(windows, x, control, dt):
+    """One RK4 trajectory over window-wise parameters, in Python floats.
+
+    The stages are :func:`rhs` inlined, with the same operations in the
+    same order, so the result does not depend on whether the arithmetic
+    runs on floats or numpy scalars; floats are several times faster.
+    """
+    n = control.shape[0]
+    us = control.tolist()
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    xs = [x]
+    append = xs.append
+    # step i runs under the first window with i < end; the last window also
+    # covers every step past its end
+    stops = [min(max(end, 0), n - 1) for _, end, _ in windows[:-1]] + [n - 1]
+    for start, stop, (_, _, (p0, p1, p2)) in zip([0] + stops, stops, windows):
+        for u in us[start:stop]:
+            pu = p0 * u
+            k1 = pu - p1 * x + p2
+            k2 = pu - p1 * (x + half * k1) + p2
+            k3 = pu - p1 * (x + half * k2) + p2
+            k4 = pu - p1 * (x + dt * k3) + p2
+            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            append(x)
+    return np.array(xs)
+
+
+#: A loop step whose stage values stay below this cannot overflow.
+_STAGE_LIMIT = 0.25 * np.finfo(float).max
+
+
+def _integrate_swarm(params, x0, control, dt):
+    """RK4 trajectories of a ``(P, 3)`` swarm, as an affine prefix scan.
+
+    Under a held control, one RK4 step of linear1 is exactly the affine
+    map ``x' = a x + s (p0 u + p2)`` with ``z = -p1 dt``, ``a`` the
+    degree-4 Taylor polynomial of ``exp(z)`` and ``s = dt (1 + z/2 + z²/6
+    + z³/24)``.  Folding ``a x0`` into the first forcing term, the state
+    after step ``i`` is ``sum_{j<=i} a^(i-j) b_j``, which a doubling scan
+    (Hillis & Steele 1986) sums in ceil(log2 n) array steps.
+
+    The time loop's stage values can leave the floats a step before its
+    state does.  Rows that come near that are stepped once more in the
+    loop's arithmetic from the scan's states, all steps at once, and a
+    state whose step overflowed there is set to inf.
+    """
+    p0, p1, p2 = (col[:, np.newaxis] for col in params.T)
+    z = -p1 * dt
+    a = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    s = dt * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    out = np.empty((params.shape[0], control.shape[0]))
+    out[:, 0] = x0
+    u = control[:-1]
+    with np.errstate(all="ignore"):
+        b = out[:, 1:]
+        np.multiply(s, p0 * u + p2, out=b)
+        b[:, :1] += a * x0
+        k, a_k = 1, a
+        while k < b.shape[1]:
+            reach = b[:, :-k]
+            term = a_k * reach
+            if not np.all(np.isfinite(a_k)):
+                # a^k overflowed on a growing row: a zero partial sum
+                # still contributes exactly zero, not inf * 0
+                term[reach == 0.0] = 0.0
+            b[:, k:] += term
+            k, a_k = 2 * k, a_k * a_k
+
+        # a bound on every stage value of a loop step from any state of
+        # the row: |k1| <= lam |x| + forcing, and each later stage grows
+        # by at most (1 + lam dt)
+        lam, x_max = np.abs(p1), np.max(np.abs(out), axis=1, keepdims=True)
+        forcing = np.abs(p0) * np.max(np.abs(u), initial=0.0) + np.abs(p2)
+        stage = (6.0 * (1.0 + dt) * (1.0 + lam * dt) ** 3
+                 * (lam * x_max + forcing) + x_max)
+        near = np.flatnonzero(~(stage < _STAGE_LIMIT))
+        if near.size:
+            p0, p1, p2, x = p0[near], p1[near], p2[near], out[near, :-1]
+            half, sixth = 0.5 * dt, dt / 6.0
+            pu = p0 * u
+            k1 = pu - p1 * x + p2
+            k2 = pu - p1 * (x + half * k1) + p2
+            k3 = pu - p1 * (x + half * k2) + p2
+            k4 = pu - p1 * (x + dt * k3) + p2
+            stepped = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            rows = out[near, 1:]
+            rows[~np.isfinite(stepped)] = np.inf
+            out[near, 1:] = rows
     return out
 
 

@@ -254,9 +254,13 @@ def write_csv(series, path):
             header.append(LABEL_COLUMN)
         writer.writerow(header)
         dt = series.sample_period
-        for i in range(len(series)):
-            row = [repr(i * dt)] + [repr(float(v)) for v in series.values[i]]
-            if series.labels is not None:
-                row.append(str(int(series.labels[i])))
-            writer.writerow(row)
+        # tolist gives Python floats and bools, whose repr and str are the
+        # fields written
+        rows = enumerate(series.values.tolist())
+        if series.labels is None:
+            writer.writerows([repr(i * dt), *map(repr, row)] for i, row in rows)
+        else:
+            writer.writerows(
+                [repr(i * dt), *map(repr, row), str(int(label))]
+                for (i, row), label in zip(rows, series.labels.tolist()))
 

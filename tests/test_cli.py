@@ -507,6 +507,45 @@ class TestPipelineHandoff:
         assert "expects 3 parameters" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diverging_donor_is_named_by_its_model_file(self, artifacts,
+                                                        tmp_path, capsys):
+        # the second of two donors diverges; the error names its file
+        doc = json.load(open(artifacts["models"][1]))
+        doc["windows"] = [{**doc["windows"][0], "params": [1.0, -800.0, 0.0]}]
+        donor = tmp_path / "diverging.json"
+        donor.write_text(json.dumps(doc))
+        out = tmp_path / "generated"
+        assert run("augment", "--profile", artifacts["profile"],
+                   "--models", artifacts["models"][0], str(donor),
+                   "--count", "6", "--length", "100", "--seed", "4",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {donor}: integration diverged at step" in err
+        assert "(donor 1, seed" in err
+        assert artifacts["models"][0] not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config_doc, predicted, source", [
+        ({"input_channels": ["control", "nope"]}, None, "config"),
+        ({"predicted_channels": ["nope"]}, None, "config"),
+        ({}, "response,nope", "--predicted"),
+    ])
+    def test_train_channel_missing_from_data_names_both_files(
+            self, data_dir, tmp_path, capsys, config_doc, predicted, source):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {**config_doc, "epochs": 1, "layer_sizes": [2]}))
+        data = os.path.join(data_dir, "small")
+        out = tmp_path / "net.json"
+        argv = ["train", "--data", data, "--config", str(config),
+                "--out", str(out)]
+        assert run(*argv, *(["--predicted", predicted] if predicted else [])) == 1
+        err = capsys.readouterr().err
+        source = str(config) if source == "config" else source
+        assert (f"odeaug train: error: {source}: channel 'nope' is not in "
+                f"{data}") in err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("command, document, key", [
         ("augment", "model", "sample_period"),

@@ -386,8 +386,62 @@ def reference_pso(candidates, pair, config):
     return tuple(float(v) for v in gbest), gbest_f, diverged
 
 
+def reference_integrate(params, x0, control, dt, abs_bound=None):
+    """RK4 as a numpy time loop over :func:`rhs`, for one trajectory or a
+    ``(P, 3)`` swarm stepped together."""
+    control = np.asarray(control, dtype=float)
+    n = control.shape[0]
+    swarm = isinstance(params, np.ndarray) and params.ndim == 2
+    if swarm:
+        windows = [(0, n, tuple(np.ascontiguousarray(params.T, dtype=float)))]
+        x = np.full(params.shape[0], float(x0))
+        out = np.empty((params.shape[0], n))
+    else:
+        if not isinstance(params, OdeParams):
+            params = OdeParams.single(params, n)
+        windows = params.windows
+        x = float(x0)
+        out = np.empty(n)
+    out[..., 0] = x
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    stops = [min(max(end, 0), n - 1) for _, end, _ in windows[:-1]] + [n - 1]
+    with np.errstate(all="ignore"):
+        for start, stop, (_, _, p) in zip([0] + stops, stops, windows):
+            for i in range(start, stop):
+                u = control[i]
+                k1 = rhs(p, x, u)
+                k2 = rhs(p, x + half * k1, u)
+                k3 = rhs(p, x + half * k2, u)
+                k4 = rhs(p, x + dt * k3, u)
+                x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+                out[..., i + 1] = x
+        steps = out[..., 1:]
+        bad = ~np.isfinite(steps)
+        if abs_bound is not None:
+            bad |= np.abs(steps) > abs_bound
+    if not swarm:
+        if bad.any():
+            raise DivergenceError(int(np.argmax(bad)) + 1)
+        return out
+    for row in np.flatnonzero(bad.any(axis=-1)):
+        out[row, int(np.argmax(bad[row])) + 1:] = np.nan
+    return out
+
+
+#: The swarm sums the same affine RK4 steps as the loop in another order.
+SWARM_RTOL = 1e-12
+
+
+def assert_swarm_close(got, want):
+    """Same shape, NaN in the same places, finite values to SWARM_RTOL."""
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=SWARM_RTOL, atol=0)
+
+
 class TestSwarm:
-    def test_rows_match_single_calls_bit_for_bit(self):
+    def test_rows_match_reference_loop(self):
         rng = np.random.default_rng(21)
         u = rng.uniform(0.1, 0.9, 257)
         swarm = np.column_stack([
@@ -396,9 +450,11 @@ class TestSwarm:
         ])
         traj = integrate(swarm, 0.4, u, 0.1, abs_bound=1e6)
         assert traj.shape == (9, 257)
+        assert_swarm_close(traj, reference_integrate(swarm, 0.4, u, 0.1,
+                                                     abs_bound=1e6))
         for row, params in zip(traj, swarm):
-            single = integrate(params, 0.4, u, 0.1, abs_bound=1e6)
-            assert row.tobytes() == single.tobytes()
+            assert_swarm_close(row, integrate(params, 0.4, u, 0.1,
+                                              abs_bound=1e6))
 
     @pytest.mark.parametrize("abs_bound", [None, 100.0])
     def test_diverged_rows_are_nan_from_the_reported_step(self, abs_bound):
@@ -419,7 +475,8 @@ class TestSwarm:
         diverged = 0
         for row, params, score in zip(traj, swarm, rmse):
             try:
-                single = integrate(params, 1.0, u, dt, abs_bound=abs_bound)
+                single = reference_integrate(params, 1.0, u, dt,
+                                             abs_bound=abs_bound)
             except DivergenceError as err:
                 diverged += 1
                 step = err.step_index
@@ -427,8 +484,10 @@ class TestSwarm:
                 assert np.all(np.isnan(row[step:]))
                 assert score == np.inf
             else:
-                assert row.tobytes() == single.tobytes()
-                assert score == integration_rmse(params, pair, abs_bound=abs_bound)
+                assert_swarm_close(row, single)
+                assert score == pytest.approx(
+                    integration_rmse(params, pair, abs_bound=abs_bound),
+                    rel=SWARM_RTOL, abs=0)
         assert diverged == (2 if abs_bound is None else 3)
         # the pulse row crossed the bound and came back below it
         back = integrate(swarm[3], 1.0, u, dt)
@@ -440,13 +499,122 @@ class TestSwarm:
     ])
     def test_refine_pso_matches_per_particle_loop(self, candidates, seed,
                                                   iterations, some_diverge):
-        pair = two_level_pair((1.5, 0.8, 0.2), noise=0.02, seed=9)
+        pair = two_level_pair((1.5, 0.8, 0.2), noise=0.02, seed=seed)
         config = PsoConfig(seed=seed, iterations=iterations)
         params, rmse = refine_pso(candidates, pair, config)
         ref_params, ref_rmse, diverged = reference_pso(candidates, pair, config)
         assert params == ref_params
-        assert rmse == ref_rmse
+        assert rmse == pytest.approx(ref_rmse, rel=SWARM_RTOL, abs=0)
         assert (diverged > 0) == some_diverge
+
+    @pytest.mark.parametrize("abs_bound", [None, 1e6])
+    def test_nonpositive_decay_grows_like_the_loop(self, abs_bound):
+        # decay <= 0 makes the step factor a >= 1: rows grow, some past
+        # the bound or out of the floats
+        rng = np.random.default_rng(3)
+        u = rng.uniform(0.1, 0.9, 400)
+        swarm = np.array([
+            [1.0, 0.0, 0.2], [0.5, -0.05, 0.1], [1.2, -0.5, 0.3],
+            [0.0, -80.0, 0.0], [2.0, 0.8, 0.2],
+        ])
+        traj = integrate(swarm, 0.4, u, 0.1, abs_bound=abs_bound)
+        ref = reference_integrate(swarm, 0.4, u, 0.1, abs_bound=abs_bound)
+        assert_swarm_close(traj, ref)
+        assert np.isnan(traj[3, -1])
+        assert np.isnan(traj[2, -1]) == (abs_bound is not None)
+
+    @pytest.mark.parametrize("abs_bound", [None, 1.0])
+    def test_unforced_rest_state_stays_exactly_zero(self, abs_bound):
+        # a^k overflows for decay -800 while the state stays 0: the scan
+        # must not turn inf * 0 into NaN
+        u = np.random.default_rng(4).uniform(0.0, 1.0, 300)
+        swarm = np.array([[0.0, -800.0, 0.0], [0.0, -80.0, 0.0],
+                          [1.0, 0.5, 0.0]])
+        traj = integrate(swarm, 0.0, u, 0.1, abs_bound=abs_bound)
+        ref = reference_integrate(swarm, 0.0, u, 0.1, abs_bound=abs_bound)
+        assert np.all(traj[:2] == 0.0) and np.all(ref[:2] == 0.0)
+        assert_swarm_close(traj, ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_short_controls(self, n):
+        u = np.linspace(0.2, 0.8, n)
+        swarm = np.array([[1.5, 0.8, 0.2], [0.0, -800.0, 1.0]])
+        traj = integrate(swarm, 0.4, u, 0.1, abs_bound=1e6)
+        assert traj.shape == (2, n) and traj[0, 0] == traj[1, 0] == 0.4
+        assert_swarm_close(traj, reference_integrate(swarm, 0.4, u, 0.1,
+                                                     abs_bound=1e6))
+
+    def test_one_particle_swarm(self):
+        u = np.random.default_rng(5).uniform(0.1, 0.9, 150)
+        swarm = np.array([[1.5, 0.8, 0.2]])
+        traj = integrate(swarm, 0.3, u, 0.1)
+        assert traj.shape == (1, 150)
+        assert_swarm_close(traj, reference_integrate(swarm, 0.3, u, 0.1))
+        assert_swarm_close(traj[0], integrate(swarm[0], 0.3, u, 0.1))
+
+    def test_every_particle_diverging_raises(self):
+        pair = two_level_pair((1.5, 0.8, 0.2), n=2000)
+        bad = (0.0, -80.0, 0.0)
+        with pytest.raises(RefinementFailedError) as err:
+            refine_pso([bad], pair, PsoConfig(seed=1, iterations=5))
+        assert err.value.best_params == bad
+        bound = _divergence_bound(pair.dependent)
+        swarm = np.array([bad, (0.1, -76.0, 0.0), (-0.3, -84.0, 0.2)])
+        assert np.all(integration_rmse(swarm, pair, abs_bound=bound) == np.inf)
+
+
+class TestSingleTrajectory:
+    """The plain-float RK4 loop against the numpy loop, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_window_params_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 120))
+        u = rng.uniform(0.0, 1.0, n)
+        cuts = np.sort(rng.choice(np.arange(1, n // 2), 3, replace=False))
+        bounds = [0, *cuts.tolist(), n // 2]    # the last window ends early
+        windows = [(s, e, (rng.uniform(0.5, 2.0), rng.uniform(0.1, 1.5),
+                           rng.uniform(-0.3, 0.3)))
+                   for s, e in zip(bounds, bounds[1:])]
+        params = OdeParams(windows)
+        for x0 in (np.float64(rng.uniform(-1.0, 1.0)), 1, 0):
+            got = integrate(params, x0, u, 0.1)
+            want = reference_integrate(params, x0, u, 0.1)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_windows_past_the_control_are_clamped(self):
+        u = np.random.default_rng(6).uniform(0.0, 1.0, 30)
+        params = OdeParams([(0, 20, (1.0, 0.5, 0.0)), (20, 60, (2.0, 0.4, 0.3)),
+                            (60, 90, (0.3, 1.2, -0.1))])
+        for dt in (0.1, 1):
+            got = integrate(params, 0.2, u, dt)
+            assert got.tobytes() == reference_integrate(
+                params, 0.2, u, dt).tobytes()
+
+    @pytest.mark.parametrize("bad_value, at", [(np.nan, 17), (np.inf, 5),
+                                               (-np.inf, 40)])
+    def test_non_finite_control_diverges_at_the_same_step(self, bad_value, at):
+        u = np.random.default_rng(7).uniform(0.0, 1.0, 60)
+        u[at] = bad_value
+        for abs_bound in (None, 1e6):
+            with pytest.raises(DivergenceError) as got:
+                integrate((1.5, 0.8, 0.2), 0.4, u, 0.1, abs_bound=abs_bound)
+            with pytest.raises(DivergenceError) as want:
+                reference_integrate((1.5, 0.8, 0.2), 0.4, u, 0.1,
+                                    abs_bound=abs_bound)
+            assert got.value.step_index == want.value.step_index == at + 1
+
+    @pytest.mark.parametrize("params, abs_bound", [
+        ((0.0, -80.0, 0.0), None), ((0.0, -80.0, 0.0), 1e6),
+        ((1.0, -800.0, 1.0), None), ((1.0, -0.5, 0.3), 50.0),
+    ])
+    def test_divergence_step_matches_reference(self, params, abs_bound):
+        u = np.random.default_rng(8).uniform(0.0, 1.0, 300)
+        with pytest.raises(DivergenceError) as got:
+            integrate(params, 1.0, u, 0.1, abs_bound=abs_bound)
+        with pytest.raises(DivergenceError) as want:
+            reference_integrate(params, 1.0, u, 0.1, abs_bound=abs_bound)
+        assert got.value.step_index == want.value.step_index
 
 
 def reference_sgd(targets, rows, offsets, config, rng):
