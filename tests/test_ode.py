@@ -434,9 +434,9 @@ SWARM_RTOL = 1e-12
 
 
 def assert_swarm_close(got, want):
-    """Same shape, NaN in the same places, finite values to SWARM_RTOL."""
+    """Same shape (assert_allclose would broadcast), NaN in the same
+    places, finite values to SWARM_RTOL."""
     assert got.shape == want.shape
-    assert np.array_equal(np.isnan(got), np.isnan(want))
     np.testing.assert_allclose(got, want, rtol=SWARM_RTOL, atol=0)
 
 
@@ -515,13 +515,25 @@ class TestSwarm:
         u = rng.uniform(0.1, 0.9, 400)
         swarm = np.array([
             [1.0, 0.0, 0.2], [0.5, -0.05, 0.1], [1.2, -0.5, 0.3],
-            [0.0, -80.0, 0.0], [2.0, 0.8, 0.2],
+            [0.0, -80.0, 0.0], [2.0, 0.8, 0.2], [1.0, -800.0, 1.0],
         ])
         traj = integrate(swarm, 0.4, u, 0.1, abs_bound=abs_bound)
         ref = reference_integrate(swarm, 0.4, u, 0.1, abs_bound=abs_bound)
         assert_swarm_close(traj, ref)
-        assert np.isnan(traj[3, -1])
+        assert np.isnan(traj[3, -1]) and np.isnan(traj[5, -1])
         assert np.isnan(traj[2, -1]) == (abs_bound is not None)
+
+    def test_stage_overflow_ends_the_row_where_the_loop_does(self):
+        # from 1e301 at decay -800 the loop's k4 overflows in the first
+        # step, while the state it would reach, a * 1e301, is finite
+        swarm = np.array([[0.0, -800.0, 0.0], [1.5, 0.8, 0.2]])
+        traj = integrate(swarm, 1e301, np.zeros(2), 0.1)
+        with pytest.raises(DivergenceError) as err:
+            reference_integrate(swarm[0], 1e301, np.zeros(2), 0.1)
+        assert err.value.step_index == 1
+        assert traj[0, 0] == 1e301 and np.isnan(traj[0, 1])
+        assert_swarm_close(traj, reference_integrate(swarm, 1e301,
+                                                     np.zeros(2), 0.1))
 
     @pytest.mark.parametrize("abs_bound", [None, 1.0])
     def test_unforced_rest_state_stays_exactly_zero(self, abs_bound):
