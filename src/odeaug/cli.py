@@ -313,13 +313,20 @@ def cmd_train(args):
         args, PredictorConfig,
         defaults={"input_channels": names, "predicted_channels": names},
         overrides={"predicted_channels": predicted} if predicted else None)
-    for name in (*config.input_channels, *config.predicted_channels):
-        if any(name not in series.channel_names for series in series_list):
-            # without --config or --predicted the names are the data's own
-            source = "--predicted" if name in predicted else args.config
-            raise ValueError(f"{source + ': ' if source else ''}"
-                             f"channel {name!r} is not in {args.data}")
-    val_series = _load_series_any(args.val_normal) if args.val_normal else None
+    channels = tuple(dict.fromkeys(
+        (*config.input_channels, *config.predicted_channels)))
+    paths = _csv_paths(args.data)
+    for name in channels:
+        lacking = [path for path, series in zip(paths, series_list)
+                   if name not in series.channel_names]
+        if lacking:
+            # a name that is in the first file may be the first file's own
+            source = ("--predicted" if name in predicted
+                      else paths[0] if name in names else args.config)
+            raise ValueError(
+                f"{source}: channel {name!r} is not in {lacking[0]}")
+    val_series = (_load_series_any(args.val_normal, channels)
+                  if args.val_normal else None)
     net, log = train(series_list, config, val_series=val_series)
 
     def write(out):

@@ -137,7 +137,7 @@ def integrate(params, x0, control, dt, abs_bound=None):
     for a swarm.  A single trajectory is stepped in plain floats
     (:func:`_integrate_single`); a swarm is evaluated as an affine
     recurrence (:func:`_integrate_swarm`), whose rows match single calls
-    to about 1e-14 relative, not bit for bit.
+    to about 1e-13 of the row's largest value, not bit for bit.
 
     Raises
     ------
@@ -222,53 +222,43 @@ def _integrate_swarm(params, x0, control, dt):
     after step ``i`` is ``sum_{j<=i} a^(i-j) b_j``, which a doubling scan
     (Hillis & Steele 1986) sums in ceil(log2 n) array steps.
 
-    The time loop's stage values can leave the floats a step before its
-    state does.  Rows that come near that are stepped once more in the
-    loop's arithmetic from the scan's states, all steps at once, and a
-    state whose step overflowed there is set to inf.
+    A row whose scan leaves the floats, or whose loop stages may come
+    near doing so, is run in the loop itself, :func:`_integrate_single`,
+    so its trajectory and the step at which it diverges are the loop's.
+    That covers the loop's stages overflowing a step before its state
+    does (from 1e301 at decay -800, k4 overflows while ``a x`` is finite)
+    and a row at rest whose ``a^k`` overflows, where the scan's
+    ``inf * 0`` is NaN but the loop stays exactly 0.
     """
+    n = control.shape[0]
     p0, p1, p2 = (col[:, np.newaxis] for col in params.T)
-    z = -p1 * dt
-    a = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    s = dt * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    out = np.empty((params.shape[0], control.shape[0]))
+    out = np.empty((params.shape[0], n))
     out[:, 0] = x0
     u = control[:-1]
     with np.errstate(all="ignore"):
+        z = -p1 * dt
+        a = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+        s = dt * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
         b = out[:, 1:]
         np.multiply(s, p0 * u + p2, out=b)
         b[:, :1] += a * x0
         k, a_k = 1, a
         while k < b.shape[1]:
-            reach = b[:, :-k]
-            term = a_k * reach
-            if not np.all(np.isfinite(a_k)):
-                # a^k overflowed on a growing row: a zero partial sum
-                # still contributes exactly zero, not inf * 0
-                term[reach == 0.0] = 0.0
-            b[:, k:] += term
+            b[:, k:] += a_k * b[:, :-k]
             k, a_k = 2 * k, a_k * a_k
 
         # a bound on every stage value of a loop step from any state of
         # the row: |k1| <= lam |x| + forcing, and each later stage grows
-        # by at most (1 + lam dt)
-        lam, x_max = np.abs(p1), np.max(np.abs(out), axis=1, keepdims=True)
-        forcing = np.abs(p0) * np.max(np.abs(u), initial=0.0) + np.abs(p2)
+        # by at most (1 + lam dt); NaN where the scan left the floats
+        lam = np.abs(params[:, 1])
+        x_max = np.max(np.abs(out), axis=1)
+        f_max = (np.abs(params[:, 0]) * np.max(np.abs(u), initial=0.0)
+                 + np.abs(params[:, 2]))
         stage = (6.0 * (1.0 + dt) * (1.0 + lam * dt) ** 3
-                 * (lam * x_max + forcing) + x_max)
-        near = np.flatnonzero(~(stage < _STAGE_LIMIT))
-        if near.size:
-            p0, p1, p2, x = p0[near], p1[near], p2[near], out[near, :-1]
-            half, sixth = 0.5 * dt, dt / 6.0
-            pu = p0 * u
-            k1 = pu - p1 * x + p2
-            k2 = pu - p1 * (x + half * k1) + p2
-            k3 = pu - p1 * (x + half * k2) + p2
-            k4 = pu - p1 * (x + dt * k3) + p2
-            stepped = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            rows = out[near, 1:]
-            rows[~np.isfinite(stepped)] = np.inf
-            out[near, 1:] = rows
+                 * (lam * x_max + f_max) + x_max)
+    for row in np.flatnonzero(~(stage < _STAGE_LIMIT)):
+        out[row] = _integrate_single([(0, n, tuple(params[row].tolist()))],
+                                     x0, control, dt)
     return out
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -544,6 +545,35 @@ class TestPipelineHandoff:
         source = str(config) if source == "config" else source
         assert (f"odeaug train: error: {source}: channel 'nope' is not in "
                 f"{data}") in err
+        assert not out.exists()
+
+    def test_train_data_files_that_disagree_are_both_named(self, data_dir,
+                                                           tmp_path, capsys):
+        # without --config the channels are the first file's
+        small = os.path.join(data_dir, "small")
+        first = sorted(f for f in os.listdir(small) if f.endswith(".csv"))[0]
+        data = tmp_path / "data"
+        data.mkdir()
+        shutil.copy(os.path.join(small, first), data / "a.csv")
+        (data / "b.csv").write_text("t,control\n0.0,0.5\n0.1,0.5\n")
+        out = tmp_path / "net.json"
+        assert run("train", "--data", str(data), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert (f"odeaug train: error: {data / 'a.csv'}: channel 'response' "
+                f"is not in {data / 'b.csv'}") in err
+        assert not out.exists()
+
+    def test_train_val_normal_missing_a_channel_is_named(self, data_dir,
+                                                         tmp_path, capsys):
+        val = tmp_path / "val"
+        val.mkdir()
+        (val / "b.csv").write_text("t,control\n0.0,0.5\n0.1,0.5\n")
+        out = tmp_path / "net.json"
+        assert run("train", "--data", os.path.join(data_dir, "small"),
+                   "--val-normal", str(val), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert (f"odeaug train: error: {val / 'b.csv'}:1: missing channels "
+                f"['response']") in err
         assert not out.exists()
 
 

@@ -499,13 +499,24 @@ class TestSwarm:
     ])
     def test_refine_pso_matches_per_particle_loop(self, candidates, seed,
                                                   iterations, some_diverge):
-        pair = two_level_pair((1.5, 0.8, 0.2), noise=0.02, seed=seed)
+        pair = two_level_pair((1.5, 0.8, 0.2), noise=0.02, seed=9)
         config = PsoConfig(seed=seed, iterations=iterations)
         params, rmse = refine_pso(candidates, pair, config)
         ref_params, ref_rmse, diverged = reference_pso(candidates, pair, config)
         assert params == ref_params
         assert rmse == pytest.approx(ref_rmse, rel=SWARM_RTOL, abs=0)
         assert (diverged > 0) == some_diverge
+
+    @pytest.mark.parametrize("pair_seed", [4, 7])
+    def test_refine_pso_matches_per_particle_loop_on_other_data(self,
+                                                                pair_seed):
+        pair = two_level_pair((1.5, 0.8, 0.2), noise=0.02, seed=pair_seed)
+        candidates = [(1.4, 0.75, 0.18), (0.0, -80.0, 0.0)]
+        config = PsoConfig(seed=pair_seed, iterations=12)
+        params, rmse = refine_pso(candidates, pair, config)
+        ref_params, ref_rmse, _ = reference_pso(candidates, pair, config)
+        assert params == ref_params
+        assert rmse == pytest.approx(ref_rmse, rel=SWARM_RTOL, abs=0)
 
     @pytest.mark.parametrize("abs_bound", [None, 1e6])
     def test_nonpositive_decay_grows_like_the_loop(self, abs_bound):
@@ -523,28 +534,32 @@ class TestSwarm:
         assert np.isnan(traj[3, -1]) and np.isnan(traj[5, -1])
         assert np.isnan(traj[2, -1]) == (abs_bound is not None)
 
-    def test_stage_overflow_ends_the_row_where_the_loop_does(self):
+    @pytest.mark.parametrize("abs_bound", [None, 1e302])
+    def test_stage_overflow_ends_the_row_where_the_loop_does(self, abs_bound):
         # from 1e301 at decay -800 the loop's k4 overflows in the first
         # step, while the state it would reach, a * 1e301, is finite
         swarm = np.array([[0.0, -800.0, 0.0], [1.5, 0.8, 0.2]])
-        traj = integrate(swarm, 1e301, np.zeros(2), 0.1)
+        traj = integrate(swarm, 1e301, np.zeros(3), 0.1, abs_bound=abs_bound)
         with pytest.raises(DivergenceError) as err:
-            reference_integrate(swarm[0], 1e301, np.zeros(2), 0.1)
+            reference_integrate(swarm[0], 1e301, np.zeros(3), 0.1)
         assert err.value.step_index == 1
-        assert traj[0, 0] == 1e301 and np.isnan(traj[0, 1])
+        assert traj[0, 0] == 1e301 and np.all(np.isnan(traj[0, 1:]))
         assert_swarm_close(traj, reference_integrate(swarm, 1e301,
-                                                     np.zeros(2), 0.1))
+                                                     np.zeros(3), 0.1,
+                                                     abs_bound=abs_bound))
 
     @pytest.mark.parametrize("abs_bound", [None, 1.0])
     def test_unforced_rest_state_stays_exactly_zero(self, abs_bound):
         # a^k overflows for decay -800 while the state stays 0: the scan
         # must not turn inf * 0 into NaN
         u = np.random.default_rng(4).uniform(0.0, 1.0, 300)
+        # and at |decay| 1e80 and 1e110, a and then s themselves overflow
         swarm = np.array([[0.0, -800.0, 0.0], [0.0, -80.0, 0.0],
-                          [1.0, 0.5, 0.0]])
+                          [0.0, -1e80, 0.0], [0.0, 1e80, 0.0],
+                          [0.0, -1e110, 0.0], [1.0, 0.5, 0.0]])
         traj = integrate(swarm, 0.0, u, 0.1, abs_bound=abs_bound)
         ref = reference_integrate(swarm, 0.0, u, 0.1, abs_bound=abs_bound)
-        assert np.all(traj[:2] == 0.0) and np.all(ref[:2] == 0.0)
+        assert np.all(traj[:-1] == 0.0) and np.all(ref[:-1] == 0.0)
         assert_swarm_close(traj, ref)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
