@@ -164,10 +164,15 @@ def init_network(config, rng=None):
 # leading model axis: x is then (M, B, T, D_in) and each state (M, B, H).
 # A stacked product makes the same per-slice BLAS call as the product of
 # one network, so a model's numbers do not depend on what it is stacked
-# with, and zero rows padded onto a batch add exact zeros.  A one-row
-# batch is the exception: (1, n) @ (n, k) goes through gemv, the same row
-# padded to more rows through gemm, and the two differ in the last bits.
-# So a one-row batch is stacked only with other one-row batches.
+# with, and zero rows padded onto a batch add exact zeros.
+#
+# One batching rule keeps a row's bits independent of its batch: no
+# forward product has one row.  numpy sends (1, n) @ (n, k) to gemv and
+# a taller product to gemm, and the two differ in the last bits, while
+# gemm gives a row the same bits whatever rows share the call.  So a
+# batch of one series is padded with a zero row, and the output layer is
+# one product over every (row, step) of a chunk, which a one-step chunk
+# cannot shrink to one row.
 
 def _zero_state(net, *batch_shape):
     """Zero (h, c) states of shape ``batch_shape + (H,)``; both share one
@@ -217,8 +222,9 @@ def _forward(net, x, h0, c0):
         h_finals.append(h)
         c_finals.append(c)
         inputs = hidden
-    outputs = (inputs @ np.swapaxes(net.w_out, -1, -2)[..., np.newaxis, :, :]
-               + net.b_out[..., np.newaxis, np.newaxis, :])
+    rows = inputs.reshape(inputs.shape[:-3] + (-1, inputs.shape[-1]))
+    outputs = ((rows @ np.swapaxes(net.w_out, -1, -2)).reshape(
+        inputs.shape[:-1] + (-1,)) + net.b_out[..., np.newaxis, np.newaxis, :])
     return outputs, caches, h_finals, c_finals
 
 
@@ -473,24 +479,17 @@ class _Model:
         self.log = TrainingLog()
 
 
-def _row_groups(members, rows):
-    """Split stack members into the multi-row and the one-row sub-stack."""
-    for one_row in (False, True):
-        group = [item for item in members if (rows(item) == 1) == one_row]
-        if group:
-            yield group
-
-
 def _pad_chunk(members, t0, t1):
     """Steps t0..t1 of each member's rows, zero-padded into a stack.
 
     ``members`` are pairs of an (x, targets, mask) triple and a row index
-    array.  Returns the three (G, B, T, .) arrays and each member's
-    unpadded (rows, steps).
+    array.  Returns the three (G, B, T, .) arrays, B at least two, and
+    each member's unpadded (rows, steps).
     """
     sizes = [(rows.size, max(0, min(t1, data[0].shape[1]) - t0))
              for data, rows in members]
-    shape = (len(members), max(b for b, _ in sizes), max(s for _, s in sizes))
+    shape = (len(members), max(2, *(b for b, _ in sizes)),
+             max(s for _, s in sizes))
     stacked = []
     for k in range(3):
         out = np.zeros(shape + (members[0][0][k].shape[2],))
@@ -500,12 +499,11 @@ def _pad_chunk(members, t0, t1):
     return stacked, sizes
 
 
-def _sse(resid, j, size):
-    """Model j's squared error over its unpadded (rows, steps) of a chunk.
+def _sse(r):
+    """Squared error summed over one model's unpadded slice of a chunk.
 
     Summed over that slice alone, so the bits match one model's chunk.
     """
-    r = resid[j, :size[0], :size[1]]
     return float(np.sum(r * r))
 
 
@@ -514,7 +512,8 @@ def _train_step(params, adam, clip, group, tbptt):
     ids = [model.index for model, _ in group]
     sel = _selector(ids, len(adam.t))
     members = [(model.data, rows) for model, rows in group]
-    h, c = _zero_state(_network(params), len(group), max(r.size for _, r in group))
+    h, c = _zero_state(_network(params), len(group),
+                       max(2, *(r.size for _, r in group)))
     for t0 in range(0, max(model.data[0].shape[1] for model, _ in group), tbptt):
         (x, targets, mask), sizes = _pad_chunk(members, t0, t0 + tbptt)
         net = _network([p[sel] for p in params])
@@ -524,34 +523,45 @@ def _train_step(params, adam, clip, group, tbptt):
             break  # every later chunk is past the data too
         for j, (model, _) in enumerate(group):
             if live[j]:
-                model.sse += _sse(resid, j, sizes[j])
+                rows, steps = sizes[j]
+                model.sse += _sse(resid[j, :rows, :steps])
         grads = clip_gradients(grads, clip[sel])
         if not live.all():
             grads = [g[live] for g in grads]
         adam.step(params, grads, [k for k, on in zip(ids, live) if on])
 
 
-def _val_losses(params, group, tbptt):
-    """Masked validation MSE of each model in ``group``, chunk by chunk.
+def _outputs(net, x, tbptt):
+    """Outputs (..., B, T, K) of a forward pass over x (..., B, T, D) in
+    ``tbptt``-step chunks that carry the state; no chunk's cache is kept.
+    """
+    out = np.empty(x.shape[:-1] + (net.b_out.shape[-1],))
+    h, c = _zero_state(net, *x.shape[:-2])
+    for t0 in range(0, x.shape[-2], tbptt):
+        chunk, caches, h, c = _forward(net, x[..., t0:t0 + tbptt, :], h, c)
+        del caches  # freed before the next chunk allocates its own
+        out[..., t0:t0 + tbptt, :] = chunk
+    return out
 
-    Outputs only are kept; squared residuals are summed per tbptt chunk,
-    as a model's own chunked pass would sum them.
+
+def _val_losses(params, group, tbptt):
+    """Masked validation MSE of each model in ``group``.
+
+    Squared residuals are summed per tbptt chunk, as a model's own
+    training chunks would sum them.
     """
     sel = _selector([model.index for model in group], len(params[0]))
-    net = _network([p[sel] for p in params])
     members = [(model.val, np.arange(model.val[0].shape[0])) for model in group]
-    h, c = _zero_state(net, len(group), max(r.size for _, r in members))
-    sse = [0.0] * len(group)
-    for t0 in range(0, max(model.val[0].shape[1] for model in group), tbptt):
-        (x, targets, mask), sizes = _pad_chunk(members, t0, t0 + tbptt)
-        out, _, h, c = _forward(net, x, h, c)
-        resid = (out - targets) * mask
-        for j, size in enumerate(sizes):
-            sse[j] += _sse(resid, j, size)
+    (x, targets, mask), sizes = _pad_chunk(
+        members, 0, max(model.val[0].shape[1] for model in group))
+    resid = (_outputs(_network([p[sel] for p in params]), x, tbptt)
+             - targets) * mask
     losses = []
-    for s, model in zip(sse, group):
+    for j, (model, (rows, steps)) in enumerate(zip(group, sizes)):
+        sse = sum(_sse(resid[j, :rows, t0:min(t0 + tbptt, steps)])
+                  for t0 in range(0, steps, tbptt))
         count = float(model.val[2].sum())
-        losses.append(s / count if count else 0.0)
+        losses.append(sse / count if count else 0.0)
     return losses
 
 
@@ -594,9 +604,8 @@ def train_many(jobs):
             plans.append([(model, order[b0:b0 + size])
                           for b0 in range(0, order.size, size)])
         for step in itertools.zip_longest(*plans):
-            members = [member for member in step if member is not None]
-            for group in _row_groups(members, lambda member: member[1].size):
-                _train_step(params, adam, clip, group, tbptt)
+            _train_step(params, adam, clip,
+                        [member for member in step if member is not None], tbptt)
 
         train_losses = [model.sse / model.points for model in running]
         for model, loss in zip(running, train_losses):
@@ -604,8 +613,8 @@ def train_many(jobs):
                 raise TrainingDivergedError(epoch, job=model.index)
         val_losses = dict(zip(running, train_losses))
         with_val = [model for model in running if model.val is not None]
-        for group in _row_groups(with_val, lambda model: model.val[0].shape[0]):
-            val_losses.update(zip(group, _val_losses(params, group, tbptt)))
+        if with_val:
+            val_losses.update(zip(with_val, _val_losses(params, with_val, tbptt)))
 
         for model, train_loss in zip(running, train_losses):
             val_loss = val_losses[model]
@@ -640,21 +649,6 @@ def train(series_list, config, val_series=None):
     return train_many([(series_list, config, val_series)])[0]
 
 
-def _time_chunks(t_len, length):
-    """(t0, t1) bounds of ``length``-step chunks over ``t_len`` >= 2 steps.
-
-    No chunk is one step long: a last step left over joins the chunk
-    before it, and ``length`` 1 is taken as 2.  A one-step chunk would run
-    the output layer as (1, H) @ (H, K) through gemv, which differs in the
-    last bits from the same row of a longer chunk's gemm.
-    """
-    length = max(length, 2)
-    bounds = list(range(0, t_len, length))
-    if t_len - bounds[-1] == 1:
-        bounds.pop()
-    return zip(bounds, bounds[1:] + [t_len])
-
-
 def predict_many(net, config, series_list):
     """Multi-step predictions for every point of each series.
 
@@ -663,10 +657,11 @@ def predict_many(net, config, series_list):
     ``prediction_length`` steps of each predicted channel, channel-major.
     Every series is checked before any forward pass.
 
-    Groups of ``series_batch_size`` series run as a (G, 1, T, D) stack,
-    zero-padded at the end of time, in ``tbptt_length`` chunks that carry
-    the state.  Each series keeps its one-row batch, so every row equals
-    that series' own batch-1 pass bit for bit.
+    Groups of ``series_batch_size`` series run as the rows of one batch,
+    zero-padded at the end of time and to at least two rows, in
+    ``tbptt_length`` chunks that carry the state.  A series' rows do not
+    depend on its group or the chunk length: they equal one unchunked
+    pass over the series and a zero row, bit for bit.
     """
     series_list = list(series_list)
     for series in series_list:
@@ -680,17 +675,12 @@ def predict_many(net, config, series_list):
     preds = []
     for g0 in range(0, len(xs), config.series_batch_size):
         group = xs[g0:g0 + config.series_batch_size]
-        t_max = max(xj.shape[0] for xj in group)
-        x = np.zeros((len(group), 1, t_max, group[0].shape[1]))
+        x = np.zeros((max(2, len(group)), max(xj.shape[0] for xj in group),
+                      group[0].shape[1]))
         for j, xj in enumerate(group):
-            x[j, 0, :xj.shape[0]] = xj
-        out = np.empty((len(group), 1, t_max, config.output_dim))
-        h, c = _zero_state(net, len(group), 1)
-        for t0, t1 in _time_chunks(t_max, config.tbptt_length):
-            chunk, caches, h, c = _forward(net, x[..., t0:t1, :], h, c)
-            del caches  # freed before the next chunk allocates its own
-            out[..., t0:t1, :] = chunk
-        preds.extend(out[j, 0, :xj.shape[0]] for j, xj in enumerate(group))
+            x[j, :xj.shape[0]] = xj
+        out = _outputs(net, x, config.tbptt_length)
+        preds.extend(out[j, :xj.shape[0]] for j, xj in enumerate(group))
     return preds
 
 

@@ -660,7 +660,11 @@ def fit(pair, config=None):
         cands = fit_gradient_sgd(sub, config.drop_fractions, sub_config)
         best_params, _, best_q = cands[0]
         if config.use_pso:
-            pso_cfg = replace(config.pso, seed=_seed_entropy(config.pso.seed) + w_idx)
+            # one stream per fit seed, swarm seed and window: neither seed
+            # is ignored
+            stream = np.random.SeedSequence([_seed_entropy(config.seed),
+                                             _seed_entropy(config.pso.seed), w_idx])
+            pso_cfg = replace(config.pso, seed=int(stream.generate_state(1)[0]))
             best_params, _ = refine_pso([c.params for c in cands], sub, pso_cfg)
             pso_used = True
         windows.append((start, end, best_params))

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from odeaug import cli, experiment, lstm
+from odeaug import cli, experiment, lstm, ode
 from odeaug.anomalies import AnomalyKind, AnomalySpec, pick_injection_regions
 from odeaug.cli import main
 from odeaug.control import segment_control
@@ -469,6 +469,33 @@ class TestPipelineHandoff:
         ) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_fit_ode_seed_and_swarm_seed_both_move_the_swarm(
+            self, data_dir, tmp_path, monkeypatch):
+        # the swarm drew from pso.seed and the window alone, so two --pso
+        # fits that differed only in --seed drew the same swarm
+        swarm_seeds = []
+        real_refine = ode.refine_pso
+
+        def recording_refine(candidates, pair, config):
+            swarm_seeds.append(config.seed)
+            return real_refine(candidates, pair, config)
+
+        monkeypatch.setattr(ode, "refine_pso", recording_refine)
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({"pso": {"seed": 5, "iterations": 2}}))
+        quick = tmp_path / "quick.json"
+        quick.write_text(json.dumps({"pso": {"iterations": 2}}))
+        for name, seed, fit_config in (("a", "1", quick), ("b", "2", quick),
+                                       ("c", "1", config)):
+            assert run(
+                "fit-ode", "--data",
+                os.path.join(data_dir, "small", "series_000.csv"),
+                "--control", "control", "--dependent", "response", "--pso",
+                "--seed", seed, "--config", str(fit_config),
+                "--out", str(tmp_path / f"{name}.json"),
+            ) == 0
+        assert len(set(swarm_seeds)) == 3
 
     def test_diverging_fit_ode_prints_one_error_line(self, data_dir,
                                                      tmp_path):

@@ -1,5 +1,6 @@
 """Network forward/backward correctness, training behaviour, serialization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -435,10 +436,11 @@ class TestTrainMany:
         assert info.value.job == 1
 
 
-def _batch_one_predict(net, config, series):
-    """Predictions from one batch-1 pass over the whole series."""
-    x = config.normalize(series, config.input_channels)[np.newaxis]
-    return _forward(net, x, *_zero_state(net, 1))[0][0]
+def _two_row_predict(net, config, series):
+    """Predictions from one unchunked pass over the series and a zero row."""
+    x = config.normalize(series, config.input_channels)
+    x = np.stack([x, np.zeros_like(x)])
+    return _forward(net, x, *_zero_state(net, 2))[0][0]
 
 
 def _normalized_config(**overrides):
@@ -454,10 +456,10 @@ class TestPredictMany:
         preds = predict_many(net, config, series_list)
         assert len(preds) == len(series_list)
         for series, pred in zip(series_list, preds):
-            assert np.array_equal(pred, _batch_one_predict(net, config, series))
+            assert np.array_equal(pred, _two_row_predict(net, config, series))
 
     @pytest.mark.parametrize("layer_sizes", [(6,), (5, 3)])
-    def test_mixed_lengths_match_batch_one_passes(self, layer_sizes):
+    def test_mixed_lengths_match_two_row_passes(self, layer_sizes):
         # seven series in groups of three: the last group holds one
         lengths = [2, 1000, 37, 64, 129, 3, 500]
         config = _normalized_config(layer_sizes=layer_sizes,
@@ -468,7 +470,7 @@ class TestPredictMany:
     @pytest.mark.parametrize("tbptt, lengths", [
         (64, [129]), (64, [129, 70, 2]), (50, [101, 30]), (1, [2, 3, 9]),
     ])
-    def test_no_one_step_chunk(self, tbptt, lengths):
+    def test_one_step_chunks_match_two_row_passes(self, tbptt, lengths):
         # the longest series leaves one step past the last full chunk
         config = _normalized_config(layer_sizes=(5, 3), tbptt_length=tbptt)
         self._assert_rows_match(
@@ -477,6 +479,22 @@ class TestPredictMany:
     def test_groups_of_one(self):
         config = _normalized_config(layer_sizes=(6,), series_batch_size=1)
         self._assert_rows_match(config, [_wave(n, n) for n in (90, 2, 65)])
+
+    @pytest.mark.parametrize("layer_sizes", [(6,), (5, 3), (16,)])
+    def test_rows_do_not_depend_on_grouping_or_chunk_length(self, layer_sizes):
+        series_list = [_wave(n, i) for i, n in enumerate(
+            [2, 130, 37, 64, 129, 3, 101, 50, 9])]
+        net = init_network(_normalized_config(layer_sizes=layer_sizes))
+        want = None
+        for size, tbptt in itertools.product((1, 2, 3, 7, 8, 32), (1, 7, 50, 64)):
+            config = _normalized_config(layer_sizes=layer_sizes,
+                                        series_batch_size=size,
+                                        tbptt_length=tbptt)
+            got = predict_many(net, config, series_list)
+            if want is None:
+                want = [_two_row_predict(net, config, s) for s in series_list]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), \
+                (size, tbptt)
 
     def test_empty_list(self):
         config = _normalized_config()
@@ -496,6 +514,39 @@ class TestPredictMany:
         with pytest.raises(ValueError, match=match):
             predict_many(init_network(config), config,
                          [_wave(30, 0), _wave(40, 1), bad])
+
+
+@pytest.mark.parametrize("lengths, overrides, val_lengths, one_step", [
+    ([40], {"val_fraction": 0.0}, None, False),   # a lone series
+    # batches of one row, and an internal split leaving one validation row
+    ([40, 50, 60], {"series_batch_size": 1}, None, False),
+    # a one-row last batch and a one-row validation set
+    ([40, 50, 60, 70, 80], {"series_batch_size": 2}, [45], False),
+    ([9, 12], {"tbptt_length": 1}, [7], True),
+    # the longest series and the validation series end in one-step chunks
+    ([65, 40], {"tbptt_length": 32}, [33], True),
+])
+def test_no_forward_pass_runs_on_one_row(monkeypatch, lengths, overrides,
+                                         val_lengths, one_step):
+    shapes = []
+    real_forward = lstm._forward
+
+    def recording_forward(net, x, h0, c0):
+        shapes.append(x.shape)
+        return real_forward(net, x, h0, c0)
+
+    monkeypatch.setattr(lstm, "_forward", recording_forward)
+    config = PredictorConfig(**dict(
+        dict(input_channels=("a", "b"), predicted_channels=("b",),
+             layer_sizes=(4,), prediction_length=2, epochs=2, patience=100),
+        **overrides))
+    series = [_wave(n, i) for i, n in enumerate(lengths)]
+    val = None if val_lengths is None else [_wave(n, 50) for n in val_lengths]
+    net, _ = train(series, config, val_series=val)
+    predict_many(net, config, series)
+    predict_many(net, config, series[:1])
+    assert shapes and min(shape[-3] for shape in shapes) >= 2
+    assert any(shape[-2] == 1 for shape in shapes) == one_step
 
 
 class TestSerialization:

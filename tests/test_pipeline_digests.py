@@ -47,7 +47,7 @@ EXPECTED = {
     "models/plain.json":
         "6950151fbab7660ce6f06d7cd6b263b00629e409ee06dc480ab70d0ef36e91ea",
     "models/pso.json":
-        "6f140dee179a87d5d3eaf3e1b3f1a5b0286ac0dcfe31607ce97b768f0dfd1a4c",
+        "9844be318ad678ea9c89c96032358ac4dfd50ba377e58b51f71cea2944775df2",
     "models/windows.json":
         "2d2384587d522f95d55ed8b8702721c2df234875b0c291ea5b35931751f7b77b",
     "profile.json":
