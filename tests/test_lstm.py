@@ -536,10 +536,9 @@ def test_no_forward_pass_runs_on_one_row(monkeypatch, lengths, overrides,
         return real_forward(net, x, h0, c0)
 
     monkeypatch.setattr(lstm, "_forward", recording_forward)
-    config = PredictorConfig(**dict(
-        dict(input_channels=("a", "b"), predicted_channels=("b",),
-             layer_sizes=(4,), prediction_length=2, epochs=2, patience=100),
-        **overrides))
+    config = PredictorConfig(
+        input_channels=("a", "b"), predicted_channels=("b",), layer_sizes=(4,),
+        prediction_length=2, epochs=2, patience=100, **overrides)
     series = [_wave(n, i) for i, n in enumerate(lengths)]
     val = None if val_lengths is None else [_wave(n, 50) for n in val_lengths]
     net, _ = train(series, config, val_series=val)
