@@ -233,18 +233,40 @@ def test_criterion_8_scorer_correctness():
            f"moments {moments_ok}, loglik {loglik_ok}, threshold {threshold_ok}")
 
 
+DIRECTIONAL_REGIMES = ("S(r)", "ODE(s)", "S(r)+ODE(s)")
+
+# F of each directional regime for seeds 0..9, taken with the machine that
+# tests/test_pipeline_digests.py names.  Each F is a ratio of counts, so
+# the table is compared exactly; a change that moves it on purpose
+# re-pins it and reports the table before and after.
+DIRECTIONAL_TABLE = [
+    (0.6098265895953757, 0.6190476190476192, 0.6398763523956723),
+    (0.5882352941176472, 0.6071942446043165, 0.6183574879227053),
+    (0.5575959933222037, 0.5415986949429037, 0.5685131195335277),
+    (0.5178236397748593, 0.5038363171355499, 0.517193947730399),
+    (0.5759717314487631, 0.6010362694300518, 0.6031746031746031),
+    (0.5246338215712383, 0.5993589743589743, 0.597623089983022),
+    (0.5509138381201045, 0.576271186440678, 0.6175548589341693),
+    (0.548440065681445, 0.583196046128501, 0.5674255691768827),
+    (0.523972602739726, 0.6353887399463808, 0.6098654708520179),
+    (0.5510752688172043, 0.581267217630854, 0.5843373493975904),
+]
+DIRECTIONAL_WINS, DIRECTIONAL_MEAN_DELTA = 9, 0.03754330039120226
+
+
 @pytest.fixture(scope="module")
 def directional_results():
     """10-seed directional replication; shared by criteria 2, 9, and 10."""
-    results = {"wins": 0, "deltas": []}
+    results = {"wins": 0, "deltas": [], "f_values": []}
     for seed in range(10):
         config = BenchmarkConfig(seed=seed)
         bench = gen_benchmark(config)
-        rep = run_experiment(bench, ["S(r)", "ODE(s)", "S(r)+ODE(s)"])
+        rep = run_experiment(bench, DIRECTIONAL_REGIMES)
         f_small = rep.row("S(r)").f_score
         f_aug = rep.row("S(r)+ODE(s)").f_score
         results["wins"] += f_aug >= f_small
         results["deltas"].append(f_aug - f_small)
+        results["f_values"].append(tuple(row.f_score for row in rep.rows))
         if seed == 0:
             results["seed0_report"] = rep
             results["seed0_curve"] = augmentation_curve(bench, [0.0, 1.0])
@@ -259,6 +281,19 @@ def test_criterion_9_directional_replication(directional_results):
     ok = wins >= 7 and mean_delta > 0.0
     report(9, "augmentation improves F on the desk-scale benchmark",
            ok, started, f"wins {wins}/10, mean dF {mean_delta:+.4f}")
+
+
+@pytest.mark.slow
+def test_directional_table_is_pinned(directional_results):
+    table = directional_results["f_values"]
+    print("\nseed  " + "  ".join(f"{name:>11}" for name in DIRECTIONAL_REGIMES))
+    for seed, row in enumerate(table):
+        print(f"{seed:>4}  " + "  ".join(f"{f:11.6f}" for f in row))
+    wins = directional_results["wins"]
+    mean_delta = float(np.mean(directional_results["deltas"]))
+    print(f"wins {wins}/10, mean dF {mean_delta!r}")
+    assert table == DIRECTIONAL_TABLE
+    assert (wins, mean_delta) == (DIRECTIONAL_WINS, DIRECTIONAL_MEAN_DELTA)
 
 
 @pytest.mark.slow

@@ -297,6 +297,25 @@ class TestTrain:
         assert log.best_epoch >= 0
         assert len(log.val_losses) <= 200
 
+    def test_equal_validation_losses_keep_the_earlier_epoch(self, monkeypatch):
+        series = [self._sine_series(60) for _ in range(2)]
+        val = [self._sine_series(60)]
+
+        def config(epochs):
+            return PredictorConfig(
+                input_channels=("s",), predicted_channels=("s",),
+                layer_sizes=(3,), prediction_length=2, epochs=epochs,
+                seed=4, patience=2)
+
+        monkeypatch.setattr(lstm, "_val_losses",
+                            lambda params, group, tbptt: [1.0] * len(group))
+        net, log = train(series, config(10), val_series=val)
+        first, _ = train(series, config(1), val_series=val)
+        assert log.best_epoch == 0
+        assert log.stopped_early and len(log.val_losses) == 3
+        for got, want in zip(net.parameters(), first.parameters()):
+            assert np.array_equal(got, want)
+
     def test_normalization_stats_stored(self):
         config = PredictorConfig(
             input_channels=("s",), predicted_channels=("s",),
