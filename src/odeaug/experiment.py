@@ -37,7 +37,7 @@ def _derive_seed(*keys):
 def build_generated(benchmark):
     """Fit ODE models on the small real set and generate synthetic pairs.
 
-    Returns (generated series list, plan).  Deterministic in the benchmark
+    Returns the generated series list.  Deterministic in the benchmark
     seed, independently of which regimes later consume the output.
     """
     config = benchmark.config
@@ -63,11 +63,8 @@ def build_generated(benchmark):
         sample_period=config.sample_period,
         channel_names=(CONTROL_CHANNEL, RESPONSE_CHANNEL),
     )
-    generated = [
-        _apply_sensor_noise(benchmark, generate_series_pair(plan, k), k)
-        for k in range(plan.count)
-    ]
-    return generated, plan
+    return [_apply_sensor_noise(benchmark, generate_series_pair(plan, k), k)
+            for k in range(plan.count)]
 
 
 def _apply_sensor_noise(benchmark, series, k):
@@ -87,23 +84,6 @@ def _apply_sensor_noise(benchmark, series, k):
     std = config.noise_std_frac * float(np.max(clean) - np.min(clean))
     return series.with_channel(
         RESPONSE_CHANNEL, clean + rng.normal(0.0, std, clean.shape[0]))
-
-
-def _train_networks(benchmark, labels, train_sets):
-    """Train one network per training set in one stacked pass.
-
-    Returns [(network, config), ...].  A job that fails is re-raised with
-    its label attached.
-    """
-    seed = _derive_seed(benchmark.config.seed, _TRAIN_TAG)
-    configs = [benchmark.config.lstm.predictor_config(seed) for _ in labels]
-    jobs = [(list(train_series), config, benchmark.val_normal)
-            for train_series, config in zip(train_sets, configs)]
-    try:
-        trained = train_many(jobs)
-    except (InvalidJobError, TrainingDivergedError) as exc:
-        raise RuntimeError(f"regime {labels[exc.job]}: {exc}") from exc
-    return [(net, config) for (net, _), config in zip(trained, configs)]
 
 
 def calibrate_scorer(net, config, normal, labeled, ridge, beta):
@@ -140,36 +120,33 @@ def detection_metrics(net, config, scorer, labeled):
                        np.concatenate([series.labels for series in labeled]))
 
 
-def evaluate_network(net, config, benchmark):
-    """Calibrate the detector on the validation sets and score the test set.
+def _score_sets(benchmark, labels, train_sets):
+    """Train one network per training set in one stacked pass, calibrate
+    each detector on the validation sets and score it on the test set.
 
-    Returns (precision, recall, f_score) on the pooled point-wise test
-    masks.  Pure function of (network, benchmark).
+    Returns one (precision, recall, F) per set, on the pooled point-wise
+    test masks.  A failure is re-raised with its set's label attached.
     """
-    scorer, _ = calibrate_scorer(
-        net, config, benchmark.val_normal, benchmark.val_anomalous,
-        benchmark.config.ridge, benchmark.config.threshold_beta,
-    )
-    return detection_metrics(net, config, scorer, benchmark.test)
-
-
-def _evaluate(label, net, config, benchmark):
+    config = benchmark.config
+    seed = _derive_seed(config.seed, _TRAIN_TAG)
+    configs = [config.lstm.predictor_config(seed) for _ in labels]
     try:
-        return evaluate_network(net, config, benchmark)
-    except Exception as exc:
-        raise RuntimeError(f"regime {label}: {exc}") from exc
-
-
-def _training_sets(benchmark, regimes):
-    need_generated = any("ODE(s)" in r for r in regimes)
-    generated = build_generated(benchmark)[0] if need_generated else []
-    return {
-        "L(r)": benchmark.large,
-        "S(r)": benchmark.small,
-        "ODE(s)": generated,
-        "S(r)+ODE(s)": benchmark.small + generated,
-        "L(r)+ODE(s)": benchmark.large + generated,
-    }
+        trained = train_many([(train_series, net_config, benchmark.val_normal)
+                              for train_series, net_config
+                              in zip(train_sets, configs)])
+    except (InvalidJobError, TrainingDivergedError) as exc:
+        raise RuntimeError(f"regime {labels[exc.job]}: {exc}") from exc
+    scores = []
+    for label, (net, _), net_config in zip(labels, trained, configs):
+        try:
+            scorer, _ = calibrate_scorer(
+                net, net_config, benchmark.val_normal, benchmark.val_anomalous,
+                config.ridge, config.threshold_beta)
+            scores.append(detection_metrics(net, net_config, scorer,
+                                            benchmark.test))
+        except Exception as exc:
+            raise RuntimeError(f"regime {label}: {exc}") from exc
+    return scores
 
 
 def run_experiment(benchmark, regimes=REGIMES):
@@ -183,25 +160,20 @@ def run_experiment(benchmark, regimes=REGIMES):
     unknown = [r for r in regimes if r not in REGIMES]
     if unknown:
         raise ValueError(f"unknown regimes {unknown}; choose from {list(REGIMES)}")
-    sets = _training_sets(benchmark, regimes)
+    generated = (build_generated(benchmark)
+                 if any("ODE(s)" in r for r in regimes) else [])
+    sets = {
+        "L(r)": benchmark.large,
+        "S(r)": benchmark.small,
+        "ODE(s)": generated,
+        "S(r)+ODE(s)": benchmark.small + generated,
+        "L(r)+ODE(s)": benchmark.large + generated,
+    }
     names = [name for name in REGIMES if name in regimes]
-    trained = _train_networks(benchmark, names, [sets[name] for name in names])
-
-    rows = []
-    for name, (net, config) in zip(names, trained):
-        train_series = sets[name]
-        precision, recall, f_score = _evaluate(name, net, config, benchmark)
-        rows.append(
-            RegimeRow(
-                regime=name,
-                n_series=len(train_series),
-                n_points=sum(len(s) for s in train_series),
-                precision=precision,
-                recall=recall,
-                f_score=f_score,
-            )
-        )
-    return MetricsReport(rows)
+    scores = _score_sets(benchmark, names, [sets[name] for name in names])
+    return MetricsReport([
+        RegimeRow(name, len(sets[name]), sum(len(s) for s in sets[name]), *prf)
+        for name, prf in zip(names, scores)])
 
 
 def augmentation_curve(benchmark, fractions):
@@ -219,13 +191,12 @@ def augmentation_curve(benchmark, fractions):
     if any(q < 0 or q > 1 for q in fractions):
         raise ValueError("fractions must lie in [0, 1]")
 
-    generated, _ = build_generated(benchmark)
-    labels = [f"fraction {q:g}" for q in fractions]
-    train_sets = [benchmark.small + generated[:int(np.floor(q * len(generated)))]
-                  for q in fractions]
-    trained = _train_networks(benchmark, labels, train_sets)
-    return [(q, _evaluate(label, net, config, benchmark)[2])
-            for q, label, (net, config) in zip(fractions, labels, trained)]
+    generated = build_generated(benchmark)
+    scores = _score_sets(
+        benchmark, [f"fraction {q:g}" for q in fractions],
+        [benchmark.small + generated[:int(np.floor(q * len(generated)))]
+         for q in fractions])
+    return [(q, f_score) for q, (_, _, f_score) in zip(fractions, scores)]
 
 
 def curve_to_csv_text(curve):

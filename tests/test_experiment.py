@@ -204,7 +204,7 @@ class TestBuildGenerated:
     def test_count_and_shape(self):
         config = tiny_config(seed=3)
         bench = gen_benchmark(config)
-        generated, plan = build_generated(bench)
+        generated = build_generated(bench)
         assert len(generated) == config.n_generated
         for g in generated:
             assert len(g) == config.series_length
@@ -212,8 +212,8 @@ class TestBuildGenerated:
 
     def test_deterministic(self):
         config = tiny_config(seed=8)
-        a, _ = build_generated(gen_benchmark(config))
-        b, _ = build_generated(gen_benchmark(config))
+        a = build_generated(gen_benchmark(config))
+        b = build_generated(gen_benchmark(config))
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.values, sb.values)
 

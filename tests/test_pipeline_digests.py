@@ -260,6 +260,6 @@ def test_detector_pipeline_bytes_are_pinned(tmp_path):
 
 def test_generated_series_values_are_pinned():
     bench = gen_benchmark(BenchmarkConfig(**{**TINY_BENCHMARK, "seed": 7}))
-    generated, _ = build_generated(bench)
+    generated = build_generated(bench)
     values = np.concatenate([series.values for series in generated])
     assert hashlib.sha256(values.tobytes()).hexdigest() == GENERATED_EXPECTED
