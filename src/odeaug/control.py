@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_count, check_real
+from .errors import check_count, check_document, check_real
 
 #: The two control states, in the order profile documents list them.
 STATES = ("high", "low")
@@ -353,8 +353,7 @@ def profile_to_dict(profile):
 
 
 def profile_from_dict(doc):
-    if doc.get("kind") != "control-profile":
-        raise ValueError("not a control profile document")
+    check_document(doc, "control-profile")
     single = doc["single_state"]
     if single not in (None, *STATES):
         raise ValueError(f"unknown single_state {single!r}")

@@ -33,6 +33,16 @@ def check_real(name, value, low=-math.inf, high=math.inf, low_open=False,
             f"{')' if high_open or high == math.inf else ']'}, got {value!r}")
 
 
+def check_document(doc, kind):
+    """Raise ValueError unless ``doc`` is a ``kind`` document of version 1,
+    the integer and not a bool or a float."""
+    if doc.get("kind") != kind:
+        raise ValueError(f"not a {kind} document")
+    version = doc.get("version")
+    if type(version) is not int or version != 1:
+        raise ValueError(f"{kind} document version must be 1, got {version!r}")
+
+
 def as_block(name, value, cls):
     """``value`` as a ``cls``, built from it if it is a JSON object."""
     if isinstance(value, cls):

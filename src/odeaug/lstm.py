@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import (InvalidJobError, TrainingDivergedError, check_count,
-                     check_real)
+                     check_document, check_real)
 
 _STD_FLOOR = 1e-12
 
@@ -318,7 +318,7 @@ def make_targets(x_pred, prediction_length):
     """Multi-step targets and validity mask from a (T, d) predicted matrix.
 
     target[t, c*l + i-1] = x_pred[t+i, c] when it exists, else 0 with a
-    zero mask entry.
+    zero mask entry; a series no longer than ``i`` has no such target.
     """
     t_len, d = x_pred.shape
     l = prediction_length
@@ -327,8 +327,9 @@ def make_targets(x_pred, prediction_length):
     for c in range(d):
         for i in range(1, l + 1):
             col = c * l + (i - 1)
-            targets[: t_len - i, col] = x_pred[i:, c]
-            mask[: t_len - i, col] = 1.0
+            stop = max(t_len - i, 0)
+            targets[:stop, col] = x_pred[i:, c]
+            mask[:stop, col] = 1.0
     return targets, mask
 
 
@@ -709,8 +710,7 @@ def network_to_dict(net, config):
 
 
 def network_from_dict(doc):
-    if doc.get("kind") != "lstm-network":
-        raise ValueError("not an LSTM network document")
+    check_document(doc, "lstm-network")
     config = PredictorConfig(**doc["config"])
     layers = [
         LstmLayer(

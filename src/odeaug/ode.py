@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (DivergenceError, RefinementFailedError,
-                     UnidentifiableError, as_block, check_count, check_real)
+                     UnidentifiableError, as_block, check_count,
+                     check_document, check_real)
 from .series import TimeSeries, curvature, derivative, moving_average
 
 
@@ -698,8 +699,7 @@ def params_to_dict(params, **meta):
 
 
 def params_from_dict(doc):
-    if doc.get("kind") != "ode-model":
-        raise ValueError("not an ODE model document")
+    check_document(doc, "ode-model")
     if doc["structure"] != STRUCTURE_ID:
         raise ValueError(f"unknown ODE structure {doc['structure']!r}")
     return OdeParams(

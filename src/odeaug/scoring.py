@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, check_real
+from .errors import DegenerateLabelsError, check_document, check_real
 # ``predict`` is not called here; perfbench/tracing.py wraps it by this
 # module's name.
 from .lstm import predict, predict_many  # noqa: F401
@@ -132,12 +132,6 @@ def log_likelihood_batch(scorer, mat):
     return -0.5 * (k * math.log(2.0 * math.pi) + log_det + np.sum(z * z, axis=0))
 
 
-def f_beta(tp, fp, fn, beta=1.0):
-    b2 = beta * beta
-    denom = (1.0 + b2) * tp + fp + b2 * fn
-    return (1.0 + b2) * tp / denom if denom > 0 else 0.0
-
-
 def select_threshold(scores, labels, beta=1.0):
     """Threshold maximizing F_beta for the rule "score < threshold => anomaly".
 
@@ -162,28 +156,21 @@ def select_threshold(scores, labels, beta=1.0):
 
     order = np.argsort(scores, kind="stable")
     s_sorted = scores[order]
-    l_sorted = labels[order]
     uniq, first_idx = np.unique(s_sorted, return_index=True)
-    # cumulative true-anomaly counts among the j lowest scores
-    cum_tp = np.concatenate(([0], np.cumsum(l_sorted)))
-
-    # cut index after all duplicates of each unique value
-    cuts = np.concatenate((first_idx[1:], [s_sorted.shape[0]]))
+    # each candidate flags the j lowest scores, j = 0 or the index after
+    # all duplicates of a unique value
+    cuts = np.concatenate(([0], first_idx[1:], [s_sorted.shape[0]]))
     candidates = np.concatenate(
         ([-math.inf], 0.5 * (uniq[:-1] + uniq[1:]), [math.inf])
     )
-    cut_per_candidate = np.concatenate(([0], cuts))
-
-    best = None
-    for tau, j in zip(candidates, cut_per_candidate):
-        tp = int(cum_tp[j])
-        fp = j - tp
-        fn = n_pos - tp
-        f = f_beta(tp, fp, fn, beta)
-        key = (f, tp, -tau)
-        if best is None or key > best[0]:
-            best = (key, float(tau), f)
-    return best[1], best[2]
+    tp = np.concatenate(([0], np.cumsum(labels[order])))[cuts]
+    b2 = beta * beta
+    denom = (1.0 + b2) * tp + (cuts - tp) + b2 * (n_pos - tp)
+    f = np.divide((1.0 + b2) * tp, denom, out=np.zeros(denom.shape),
+                  where=denom > 0)
+    # the highest F, then the most true positives, then the lowest threshold
+    best = np.lexsort((candidates, -tp, -f))[0]
+    return float(candidates[best]), float(f[best])
 
 
 def score_many(net, config, scorer, series_list):
@@ -229,8 +216,7 @@ def scorer_to_dict(scorer):
 
 
 def scorer_from_dict(doc):
-    if doc.get("kind") != "gaussian-scorer":
-        raise ValueError("not a Gaussian scorer document")
+    check_document(doc, "gaussian-scorer")
     scorer = GaussianScorer(
         mean=np.asarray(doc["mean"], dtype=float),
         covariance=np.asarray(doc["covariance"], dtype=float),

@@ -176,3 +176,19 @@ def test_mutated_document_exits_cleanly(kind, mutation, documents, tmp_path,
             assert code in (0, 1, 2), (command, text, err)
             if code:
                 assert str(broken) in err, (command, text, err)
+
+
+@pytest.mark.parametrize("kind", ["model", "profile", "network", "scorer"])
+def test_document_of_another_version_exits_1_naming_it(kind, documents,
+                                                       tmp_path, capsys):
+    # a document of version 2 used to be read as version 1
+    doc = json.load(open(documents[kind]))
+    doc["version"] = 2
+    other = tmp_path / os.path.basename(documents[kind])
+    other.write_text(json.dumps(doc))
+    paths = {**documents, kind: str(other)}
+    for command in CONSUMERS[kind]:
+        code = main(command_line(command, paths)
+                    + ["--out", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        assert code == 1 and f"{other}: " in err and "version" in err, err

@@ -192,3 +192,38 @@ KINDS = [ode_model, fitted_pair, control_profile, network, scorer,
 @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
 def test_document_round_trips_through_json_text(kind, seed, tmp_path):
     kind(np.random.default_rng([seed, KINDS.index(kind)]), tmp_path)
+
+
+def versioned_documents():
+    """(reader, a valid document) for every versioned document kind."""
+    rng = np.random.default_rng(0)
+    windows = random_windows(rng)
+    pair = FittedPair(PairFeatures(10.0, 20.0, 0.9, 0.2), windows, 0.5)
+    config = PredictorConfig(
+        input_channels=("a",), predicted_channels=("a",), layer_sizes=(2,),
+        norm_mean={"a": 0.0}, norm_std={"a": 1.0})
+    profile = build_profile([segment_control(two_state_series(rng), "control")])
+    return {
+        "ode-model": (params_from_dict, params_to_dict(windows)),
+        "fitted-pair": (fitted_pair_from_dict, fitted_pair_to_dict(pair)),
+        "control-profile": (profile_from_dict, profile_to_dict(profile)),
+        "lstm-network": (network_from_dict,
+                         network_to_dict(init_network(config), config)),
+        "gaussian-scorer": (scorer_from_dict,
+                            scorer_to_dict(fit_gaussian(rng.normal(size=(20, 2))))),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(versioned_documents()))
+@pytest.mark.parametrize("version", [99, 0, "two", "1", True, 1.0, None, "drop"])
+def test_reader_accepts_only_version_1(kind, version):
+    # every reader used to take any version, or none
+    reader, doc = versioned_documents()[kind]
+    reader(through_json(doc))
+    doc = through_json(doc)
+    if version == "drop":
+        del doc["version"]
+    else:
+        doc["version"] = version
+    with pytest.raises(ValueError, match="version must be 1"):
+        reader(doc)

@@ -234,6 +234,14 @@ class TestMakeTargets:
         assert mask[3, 1] == 0.0 and mask[3, 0] == 1.0
         assert np.all(mask[4] == 0.0)
 
+    def test_series_shorter_than_the_horizon_has_no_targets(self):
+        # the slice stop t_len - i went negative and wrapped to the end
+        targets, mask = make_targets(np.array([[1.0], [2.0]]),
+                                     prediction_length=3)
+        # only step 0 has a target, one step ahead
+        assert np.array_equal(targets, [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert np.array_equal(mask, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
 
 class TestTrain:
     def _sine_series(self, n=200):
@@ -296,6 +304,16 @@ class TestTrain:
         net, log = train(series, config, val_series=val)
         assert log.best_epoch >= 0
         assert len(log.val_losses) <= 200
+
+    def test_validation_series_shorter_than_the_horizon(self):
+        # it used to fail in make_targets with a numpy broadcast error
+        config = PredictorConfig(
+            input_channels=("s",), predicted_channels=("s",),
+            layer_sizes=(3,), prediction_length=3, epochs=2, seed=0)
+        _, log = train([self._sine_series(40)], config,
+                       val_series=[self._sine_series(2)])
+        assert len(log.val_losses) == 2
+        assert all(math.isfinite(loss) and loss > 0 for loss in log.val_losses)
 
     def test_equal_validation_losses_keep_the_earlier_epoch(self, monkeypatch):
         series = [self._sine_series(60) for _ in range(2)]
