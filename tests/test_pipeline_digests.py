@@ -72,6 +72,10 @@ EXPECTED = {
 }
 
 
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+
 def _digests(root):
     out = {}
     for base, _dirs, files in os.walk(root):
@@ -92,9 +96,6 @@ def run_chain(root):
 
     def path(*parts):
         return os.path.join(root, "out", *parts)
-
-    def run(*argv):
-        assert main(list(argv)) == 0, argv
 
     bench_config = os.path.join(root, "bench.json")
     windows_config = os.path.join(root, "windows.json")
@@ -219,9 +220,6 @@ def run_detector_chain(root):
 
     def path(*parts):
         return os.path.join(root, "out", *parts)
-
-    def run(*argv):
-        assert main(list(argv)) == 0, argv
 
     bench_config = os.path.join(root, "bench.json")
     with open(bench_config, "w") as fh:
