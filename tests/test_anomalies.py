@@ -29,6 +29,48 @@ def plant_series(n=300, dt=0.1, seed=0, params=(2.0, 0.5, 0.1)):
     return series, seg, model
 
 
+#: Regions the placement draws on ``plant_series()`` for a spec of each kind
+#: with ``count`` regions of ``3 + 2 * count`` samples and seed
+#: ``10 * kind.value + count``, for counts 1 to 5.
+PINNED_SAMPLE_COUNT_REGIONS = {
+    AnomalyKind.ZERO: [
+        [(70, 75)],
+        [(80, 87), (159, 166)],
+        [(151, 160), (222, 231), (240, 249)],
+        [(69, 80), (91, 102), (153, 164), (236, 247)],
+        [(60, 73), (87, 100), (148, 161), (212, 225), (240, 253)],
+    ],
+    AnomalyKind.OUT_OF_RANGE: [
+        [(89, 94)],
+        [(90, 97), (228, 235)],
+        [(58, 67), (138, 147), (223, 232)],
+        [(76, 87), (92, 103), (137, 148), (230, 241)],
+        [(66, 79), (79, 92), (144, 157), (214, 227), (239, 252)],
+    ],
+    AnomalyKind.WRONG_STATE: [
+        [(154, 159)],
+        [(70, 77), (239, 246)],
+        [(83, 92), (93, 102), (238, 247)],
+        [(61, 72), (72, 83), (91, 102), (241, 252)],
+        [(64, 77), (90, 103), (144, 157), (224, 237), (238, 251)],
+    ],
+    AnomalyKind.NOISE: [
+        [(196, 201)],
+        [(26, 33), (230, 237)],
+        [(103, 112), (147, 156), (196, 205)],
+        [(32, 43), (79, 90), (193, 204), (245, 256)],
+        [(99, 112), (112, 125), (150, 163), (199, 212), (266, 279)],
+    ],
+    AnomalyKind.DRIFT: [
+        [(99, 104)],
+        [(153, 160), (249, 256)],
+        [(55, 64), (156, 165), (225, 234)],
+        [(72, 83), (85, 96), (148, 159), (226, 237)],
+        [(60, 73), (88, 101), (139, 152), (218, 231), (243, 256)],
+    ],
+}
+
+
 def high_runs(seg):
     """(start, duration) of every HIGH run."""
     return list(zip(seg.starts[seg.high], seg.durations[seg.high]))
@@ -107,6 +149,26 @@ class TestPickInjectionRegions:
             assert end - start == min(20, d)
             lengths.add(end - start)
         assert 20 in lengths and len(lengths) > 1
+
+    @pytest.mark.parametrize("kind,count,expected", [
+        (kind, count, regions)
+        for kind, rows in PINNED_SAMPLE_COUNT_REGIONS.items()
+        for count, regions in enumerate(rows, start=1)
+    ])
+    def test_sample_count_placements_are_pinned(self, kind, count, expected):
+        # gen-data, the benchmark and every digest pin place sample counts
+        series, seg, _ = plant_series()
+        spec = AnomalySpec(kind, duration=3 + 2 * count, count=count,
+                           seed=10 * kind.value + count)
+        assert pick_injection_regions(seg, spec, len(series)) == expected
+
+    def test_sample_count_that_runs_out_of_room_raises(self):
+        # three HIGH segments of 49, 30 and 48 samples hold three 30-sample
+        # regions, not four
+        series, seg, _ = plant_series()
+        spec = AnomalySpec(AnomalyKind.DRIFT, duration=30, count=4, seed=0)
+        with pytest.raises(PlacementError):
+            pick_injection_regions(seg, spec, len(series))
 
     def test_deterministic_per_seed(self):
         series, seg, _ = plant_series()
