@@ -5,6 +5,11 @@ dropout to zero, out-of-range level, wrong-state behaviour (the state
 responds as if the control were low), additive noise, and upward drift
 past the observed maximum.  All kinds except NOISE are placed inside
 high-state segments of the control; NOISE may land anywhere.
+
+One rule places the regions of every duration form: each region is one
+uniform draw over the free start positions of every host segment, so
+placement fails only when no free position remains
+(:func:`pick_injection_regions`).
 """
 
 import enum
@@ -83,84 +88,53 @@ class InjectionReport:
     mask: np.ndarray
 
 
-def _draw_fixed_duration_regions(starts_pool, duration, count, rng):
-    regions = []
-    pool = list(starts_pool)
-    for _ in range(count):
-        if not pool:
-            raise PlacementError(
-                "not enough non-overlapping positions for the requested count"
-            )
-        s = pool[rng.integers(len(pool))]
-        regions.append((int(s), int(s) + duration))
-        pool = [p for p in pool if abs(p - s) >= duration]
-    return regions
-
-
 def pick_injection_regions(segmentation, spec, series_length, rng=None):
     """Choose ``spec.count`` non-overlapping regions for one anomaly kind.
 
-    High-state kinds place regions inside HIGH segments; NOISE may use the
-    whole series.  Fixed durations sample uniformly over all eligible start
-    positions; fractional or default durations choose a host segment first.
+    One rule places every duration form.  The hosts are the HIGH segments
+    for high-state kinds.  For NOISE they are all segments, or the whole
+    series when ``duration`` is a sample count.  A region's length in a
+    host is the sample count, or ``max(1, round(frac * host))`` for a
+    fraction.  Without a duration, ZERO, OUT_OF_RANGE and WRONG_STATE draw
+    one fraction per region from ``DEFAULT_FRACTION_RANGE``, and NOISE and
+    DRIFT take ``min(DEFAULT_FIXED_DURATION, host)``.  Each region is one
+    uniform draw over every start whose region overlaps no earlier region,
+    in host order and then start order, so a longer host weighs more.
 
-    Raises :class:`PlacementError` when no feasible placement exists.
+    Raises :class:`PlacementError` when no free start remains.
     """
     rng = np.random.default_rng(spec.seed) if rng is None else rng
-    series_length = int(series_length)
-    kind = spec.kind
-
-    if isinstance(spec.duration, int):
-        d = spec.duration
-        if kind in HIGH_STATE_KINDS:
-            hosts = segmentation.high & (segmentation.durations >= d)
-            starts = [
-                s
-                for a, dur in zip(segmentation.starts[hosts],
-                                  segmentation.durations[hosts])
-                for s in range(a, a + dur - d + 1)
-            ]
-        else:
-            starts = list(range(0, series_length - d + 1))
-        if not starts:
-            raise PlacementError(
-                f"no {'high-state ' if kind in HIGH_STATE_KINDS else ''}segment "
-                f"can host a {d}-sample region"
-            )
-        regions = _draw_fixed_duration_regions(starts, d, spec.count, rng)
-        return sorted(regions)
-
-    # fractional / default durations: pick a host segment, then an offset
-    eligible = np.flatnonzero(
-        segmentation.high | (kind not in HIGH_STATE_KINDS))
-    if not eligible.size:
-        raise PlacementError("no eligible segment for placement")
-    seg_starts = segmentation.starts
+    kind, duration = spec.kind, spec.duration
+    if kind is AnomalyKind.NOISE and isinstance(duration, int):
+        host_starts, hosts = np.zeros(1, dtype=int), np.array([int(series_length)])
+    else:
+        keep = segmentation.high | (kind not in HIGH_STATE_KINDS)
+        host_starts, hosts = segmentation.starts[keep], segmentation.durations[keep]
     regions = []
     for _ in range(spec.count):
-        for _attempt in range(1000):
-            if spec.duration is None and kind not in (
-                AnomalyKind.NOISE, AnomalyKind.DRIFT
-            ):
-                frac = rng.uniform(*DEFAULT_FRACTION_RANGE)
-            elif spec.duration is None:
-                frac = None
-            else:
-                frac = spec.duration
-            i = eligible[rng.integers(len(eligible))]
-            start, dur = int(seg_starts[i]), int(segmentation.durations[i])
-            if frac is None:
-                d = min(DEFAULT_FIXED_DURATION, dur)
-            else:
-                d = max(1, int(round(frac * dur)))
-            s = int(rng.integers(start, start + dur - d + 1))
-            if all(s + d <= os or s >= oe for os, oe in regions):
-                regions.append((s, s + d))
-                break
+        if isinstance(duration, int):
+            lengths = np.full(hosts.shape, duration)
+        elif duration is None and kind in (AnomalyKind.NOISE, AnomalyKind.DRIFT):
+            lengths = np.minimum(DEFAULT_FIXED_DURATION, hosts)
         else:
+            frac = rng.uniform(*DEFAULT_FRACTION_RANGE) if duration is None \
+                else duration
+            lengths = np.maximum(1, np.round(frac * hosts).astype(int))
+        fits = np.maximum(hosts - lengths + 1, 0)
+        # every start of every host, in host order and then start order
+        starts = np.arange(fits.sum()) + np.repeat(
+            host_starts - np.cumsum(fits) + fits, fits)
+        ends = starts + np.repeat(lengths, fits)
+        free = np.ones(starts.shape, dtype=bool)
+        for a, b in regions:
+            free &= (ends <= a) | (starts >= b)
+        pool = np.flatnonzero(free)
+        if not pool.size:
             raise PlacementError(
-                "could not place all requested regions without overlap"
-            )
+                f"no free start for {kind.name.lower()} region {len(regions) + 1}"
+                f" of {spec.count}")
+        i = pool[rng.integers(pool.size)]
+        regions.append((int(starts[i]), int(ends[i])))
     return sorted(regions)
 
 

@@ -135,10 +135,15 @@ def log_likelihood_batch(scorer, mat):
 def select_threshold(scores, labels, beta=1.0):
     """Threshold maximizing F_beta for the rule "score < threshold => anomaly".
 
-    Candidates are the midpoints between consecutive sorted unique scores
-    plus -inf/+inf sentinels.  Ties prefer higher recall, then the lower
-    threshold.  Returns (threshold, achieved F).  Scores may be +inf (the
-    warm-up points of :func:`score_many`) but not NaN; ``beta`` must be
+    Candidates are the -inf/+inf sentinels and the midpoint between each
+    pair of consecutive unique scores.  Where a midpoint does not fall
+    above the lower score and at most at the upper one (next to -inf,
+    between adjacent floats, or on overflow), the upper score stands in for
+    it.  Each candidate counts as flagging exactly the scores strictly
+    below it, the rule ``detect`` and ``evaluate`` apply, so they reproduce
+    the achieved F.  Ties prefer higher recall, then the lower threshold.
+    Returns (threshold, achieved F).  Scores may be +-inf (the warm-up and
+    overflow points of :func:`score_many`) but not NaN; ``beta`` must be
     finite and > 0.
 
     Raises :class:`DegenerateLabelsError` when labels are single-class.
@@ -156,13 +161,14 @@ def select_threshold(scores, labels, beta=1.0):
 
     order = np.argsort(scores, kind="stable")
     s_sorted = scores[order]
-    uniq, first_idx = np.unique(s_sorted, return_index=True)
-    # each candidate flags the j lowest scores, j = 0 or the index after
-    # all duplicates of a unique value
-    cuts = np.concatenate(([0], first_idx[1:], [s_sorted.shape[0]]))
-    candidates = np.concatenate(
-        ([-math.inf], 0.5 * (uniq[:-1] + uniq[1:]), [math.inf])
-    )
+    uniq = np.unique(s_sorted)
+    lower, upper = uniq[:-1], uniq[1:]
+    with np.errstate(invalid="ignore", over="ignore"):  # -inf + inf, overflow
+        mid = 0.5 * (lower + upper)
+    mid = np.where((lower < mid) & (mid <= upper), mid, upper)
+    candidates = np.concatenate(([-math.inf], mid, [math.inf]))
+    # a candidate flags the scores strictly below it
+    cuts = np.searchsorted(s_sorted, candidates, side="left")
     tp = np.concatenate(([0], np.cumsum(labels[order])))[cuts]
     b2 = beta * beta
     denom = (1.0 + b2) * tp + (cuts - tp) + b2 * (n_pos - tp)

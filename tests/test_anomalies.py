@@ -101,6 +101,19 @@ class TestPickInjectionRegions:
         with pytest.raises(PlacementError):
             pick_injection_regions(seg, spec, len(series))
 
+    @pytest.mark.parametrize("duration", [5, 0.5, None])
+    @pytest.mark.parametrize("kind", [AnomalyKind.ZERO, AnomalyKind.OUT_OF_RANGE,
+                                      AnomalyKind.WRONG_STATE, AnomalyKind.DRIFT])
+    def test_no_high_segment_raises_for_every_duration_form(self, kind,
+                                                            duration):
+        u = np.full(100, 0.1)
+        seg = segment_control(TimeSeries(["u"], 1.0, u[:, None]), "u", 0.5,
+                              min_duration=2)
+        assert not seg.high.any()
+        with pytest.raises(PlacementError):
+            pick_injection_regions(seg, AnomalySpec(kind, duration=duration),
+                                   len(u))
+
     def test_regions_do_not_overlap(self):
         series, seg, _ = plant_series(n=600, seed=4)
         spec = AnomalySpec(AnomalyKind.NOISE, duration=20, count=8, seed=2)

@@ -433,6 +433,46 @@ class TestPipelineHandoff:
         ) == 0
         assert os.listdir(out) == ["manifest.json"]
 
+    @pytest.mark.parametrize("case", ["train-without-csv", "untrained-net",
+                                      "mixed-sample-periods", "no-room"])
+    def test_unusable_input_exits_1_with_one_error_line(
+            self, artifacts, data_dir, tmp_path, capsys, case):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        net = json.load(open(artifacts["net"]))
+        net["config"]["norm_mean"] = None
+        untrained = tmp_path / "untrained.json"
+        untrained.write_text(json.dumps(net))
+        model = json.load(open(artifacts["models"][1]))
+        model["sample_period"] *= 2
+        slower = tmp_path / "slower.json"
+        slower.write_text(json.dumps(model))
+        data = os.path.join(data_dir, "small", "series_000.csv")
+        argv, message = {
+            "train-without-csv": (["train", "--data", str(empty)],
+                                  f"no CSV files under {empty}"),
+            "untrained-net": (
+                ["threshold", "--net", str(untrained),
+                 "--normal", os.path.join(data_dir, "val_normal"),
+                 "--labeled", os.path.join(data_dir, "val_anomalous")],
+                f"{untrained}: network has no normalization statistics"),
+            "mixed-sample-periods": (
+                ["augment", "--profile", artifacts["profile"], "--models",
+                 artifacts["models"][0], str(slower), "--count", "2",
+                 "--length", "100"],
+                "donor models must share one sample period"),
+            "no-room": (
+                ["inject", "--data", data, "--channel", "response",
+                 "--control", "control", "--kind", "zero",
+                 "--duration", "1000"],
+                f"{data}: no free start"),
+        }[case]
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err
+        assert not out.exists()
+
     def test_wrong_channel_is_runtime_error(self, artifacts, data_dir):
         assert run(
             "fit-ode", "--data", os.path.join(data_dir, "small", "series_000.csv"),
@@ -456,6 +496,7 @@ class TestPipelineHandoff:
     @pytest.mark.parametrize("fit_doc, message", [
         ({"drop_fractions": []}, "drop_fractions"),
         ({"window_bounds": [[0, 50], [80, 200]]}, "window_bounds"),
+        ({"window_bounds": [[0, 50], [50, 150]]}, "cover the whole pair"),
     ])
     def test_fit_ode_with_invalid_fit_config_exits_1(self, data_dir, tmp_path,
                                                      capsys, fit_doc, message):

@@ -55,6 +55,15 @@ class TestGenBenchmark:
                   / config.series_length)
         assert abs(frac - target) / target <= 0.5
 
+    def test_injection_without_a_host_is_skipped(self):
+        # every HIGH segment is shorter than the anomaly: no region fits, so
+        # the labeled sets come out all-normal rather than failing
+        config = tiny_config(duration_range=(20, 30), anomaly_duration=40,
+                             anomaly_kinds=("zero", "drift"))
+        bench = gen_benchmark(config)
+        for s in bench.val_anomalous + bench.test:
+            assert s.labels is not None and not s.labels.any()
+
     def test_seeded_determinism(self):
         a = gen_benchmark(tiny_config(seed=5))
         b = gen_benchmark(tiny_config(seed=5))
@@ -163,9 +172,11 @@ class TestRunExperiment:
         assert gen.n_series == config.n_generated
         assert small.n_points == sum(len(s) for s in bench.small)
 
-    def test_metric_ranges(self):
-        bench = gen_benchmark(tiny_config(seed=4))
-        report = run_experiment(bench, ["S(r)"])
+    @pytest.mark.parametrize("noise_std_frac, regime", [(0.01, "S(r)"),
+                                                        (0.0, "ODE(s)")])
+    def test_metric_ranges(self, noise_std_frac, regime):
+        bench = gen_benchmark(tiny_config(seed=4, noise_std_frac=noise_std_frac))
+        report = run_experiment(bench, [regime])
         row = report.rows[0]
         assert 0.0 <= row.precision <= 1.0
         assert 0.0 <= row.recall <= 1.0

@@ -10,6 +10,7 @@ from odeaug.cli import main
 from odeaug.errors import DegenerateLabelsError
 from odeaug.experiment import detection_metrics
 from odeaug.lstm import PredictorConfig, init_network, network_to_dict, predict
+from odeaug.metrics import prf_metrics
 from odeaug.scoring import (GaussianScorer, error_vectors, fit_gaussian,
                             log_likelihood, log_likelihood_batch,
                             scorer_from_dict, scorer_to_dict, select_threshold)
@@ -255,6 +256,34 @@ class TestSelectThreshold:
         tau, f = select_threshold(scores, labels)
         assert f == pytest.approx(2.0 / 3.0)
         assert tau == pytest.approx(3.5)
+
+    @pytest.mark.parametrize("scores,labels,tau_expected,f_expected", [
+        # the midpoint of -inf and 0 is -inf, which flags nothing
+        ([-math.inf, 0.0, 1.0, 2.0], [1, 0, 0, 0], 0.0, 1.0),
+        # the midpoint of adjacent floats rounds onto the lower one
+        ([1.0, np.nextafter(1.0, 2.0), 3.0], [1, 0, 0],
+         np.nextafter(1.0, 2.0), 1.0),
+        # a +inf threshold leaves score_many's +inf warm-up points unflagged
+        ([0.0, 1.0, 2.0, math.inf], [0, 1, 1, 1], math.inf, 2.0 / 3.0),
+    ], ids=["minus_inf", "adjacent_floats", "plus_inf_warmup"])
+    def test_reported_f_is_the_f_of_its_flags(self, scores, labels,
+                                              tau_expected, f_expected):
+        tau, f = select_threshold(scores, labels)
+        assert (tau, f) == (tau_expected, pytest.approx(f_expected))
+        assert f == prf_metrics(np.asarray(scores) < tau, labels)[2]
+
+    def test_reported_f_is_recounted_with_ties_and_infinities(self):
+        rng = np.random.default_rng(23)
+        levels = np.array([-math.inf, -1e308, -2.0, -1.0, -1.0 + 2**-52,
+                           0.0, 1.0, 1e308, math.inf])
+        for _ in range(500):
+            n = int(rng.integers(2, 30))
+            scores = rng.choice(levels, n)
+            labels = rng.random(n) < 0.4
+            labels[:2] = [True, False]
+            tau, f = select_threshold(scores, labels)
+            assert f == pytest.approx(prf_metrics(scores < tau, labels)[2],
+                                      abs=1e-12)
 
 
 def detect_argv(tmp_path, net, config, scorer, series):
