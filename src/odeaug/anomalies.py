@@ -125,15 +125,14 @@ def pick_injection_regions(segmentation, spec, series_length, rng=None):
         starts = np.arange(fits.sum()) + np.repeat(
             host_starts - np.cumsum(fits) + fits, fits)
         ends = starts + np.repeat(lengths, fits)
-        free = np.ones(starts.shape, dtype=bool)
         for a, b in regions:
-            free &= (ends <= a) | (starts >= b)
-        pool = np.flatnonzero(free)
-        if not pool.size:
+            free = (ends <= a) | (starts >= b)
+            starts, ends = starts[free], ends[free]
+        if not starts.size:
             raise PlacementError(
                 f"no free start for {kind.name.lower()} region {len(regions) + 1}"
                 f" of {spec.count}")
-        i = pool[rng.integers(pool.size)]
+        i = rng.integers(starts.size)
         regions.append((int(starts[i]), int(ends[i])))
     return sorted(regions)
 
