@@ -248,3 +248,93 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError) as err:
             read_csv(path)
         assert err.value.line == 3
+
+
+def _faulty_csv(faults):
+    """A labeled file of eight rows with the named faults, keyed by line.
+
+    A ragged row lacks its label, a non-numeric field reads ``abc``, a bad
+    label is 2, a non-finite value is ``inf`` in ``y`` and a bad ``t`` step
+    shifts that row's ``t`` by half a step.
+    """
+    lines = ["t,x,y,label"]
+    for i in range(8):
+        lineno = i + 2
+        t, x, y, label = repr(i * 0.1), repr(0.5 * i), repr(1.0 - i), "0"
+        fault = faults.get(lineno)
+        if fault == "nonnumeric":
+            x = "abc"
+        elif fault == "label":
+            label = "2"
+        elif fault == "nonfinite":
+            y = "inf"
+        elif fault == "step":
+            t = repr(i * 0.1 + 0.05)
+        fields = [t, x, y] if fault == "ragged" else [t, x, y, label]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+_RAGGED = "expected 4 fields, got 3"
+_NONNUMERIC = "non-numeric field"
+_LABEL = "label must be 0 or 1"
+_NONFINITE = "non-finite value"
+_STEP = "t step differs from the first step"
+
+
+class TestCsvFaultOrder:
+    """Which fault ``read_csv`` reports when a file has two.
+
+    A ragged row, a non-numeric field and a bad label are found in line
+    order; a bad ``t`` step is reported before a non-finite value, and
+    either only when no line has one of the first three.
+    """
+
+    @pytest.mark.parametrize("first, second, line, message", [
+        ("ragged", "nonnumeric", 4, _RAGGED),
+        ("nonnumeric", "ragged", 4, _NONNUMERIC),
+        ("ragged", "label", 4, _RAGGED),
+        ("label", "ragged", 4, _LABEL),
+        ("ragged", "nonfinite", 4, _RAGGED),
+        ("nonfinite", "ragged", 7, _RAGGED),
+        ("ragged", "step", 4, _RAGGED),
+        ("step", "ragged", 7, _RAGGED),
+        ("nonnumeric", "label", 4, _NONNUMERIC),
+        ("label", "nonnumeric", 4, _LABEL),
+        ("nonnumeric", "nonfinite", 4, _NONNUMERIC),
+        ("nonfinite", "nonnumeric", 7, _NONNUMERIC),
+        ("nonnumeric", "step", 4, _NONNUMERIC),
+        ("step", "nonnumeric", 7, _NONNUMERIC),
+        ("label", "nonfinite", 4, _LABEL),
+        ("nonfinite", "label", 7, _LABEL),
+        ("label", "step", 4, _LABEL),
+        ("step", "label", 7, _LABEL),
+        ("nonfinite", "step", 7, _STEP),
+        ("step", "nonfinite", 4, _STEP),
+    ])
+    def test_two_faults_on_two_lines(self, tmp_path, first, second, line,
+                                     message):
+        path = tmp_path / "bad.csv"
+        path.write_text(_faulty_csv({4: first, 7: second}))
+        with pytest.raises(CsvFormatError) as err:
+            read_csv(path)
+        assert (err.value.line, str(err.value)) == (
+            line, f"{path}:{line}: {message}")
+
+    def test_non_numeric_field_beats_bad_label_on_one_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x,label\n0.0,1,0\n0.1,abc,2\n0.2,3,5\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_csv(path)
+        assert (err.value.line, str(err.value)) == (
+            3, f"{path}:3: {_NONNUMERIC}")
+
+    def test_quoted_fields_and_padded_numbers_are_read(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text('t,x,y,label\n"0.0","1.5", 2.0,0\n'
+                        '0.1, -3 ,"4e-1 ","1.0"\n 0.2,5,6,-0\n')
+        series = read_csv(path, ("x", "y"), labeled=True)
+        assert series.channel_names == ["x", "y"]
+        assert series.sample_period == 0.1
+        assert series.values.tolist() == [[1.5, 2.0], [-3.0, 0.4], [5.0, 6.0]]
+        assert series.labels.tolist() == [False, True, False]
