@@ -355,17 +355,21 @@ def cmd_threshold(args):
 def cmd_detect(args):
     net, config, scorer = _load_detector(args)
     paths = _csv_paths(args.data)
-    series_list = [read_csv(path, config.input_channels) for path in paths]
+    series_list = _load_series_any(args.data, config.input_channels)
     all_scores = score_many(net, config, scorer, series_list)
 
     def write(out):
         for path, series, scores in zip(paths, series_list, all_scores):
-            flags = scores < scorer.threshold
-            name = os.path.basename(path).replace(".csv", ".detections.csv")
+            name = os.path.basename(path)
+            if name.endswith(".csv"):
+                name = name[:-len(".csv")] + ".detections.csv"
+            dt = series.sample_period
+            # tolist gives Python floats and bools, whose repr and int
+            # are the fields written
+            flags = (scores < scorer.threshold).tolist()
             _write_text(os.path.join(out, name), "t,score,flag\n" + "".join(
-                f"{repr(i * series.sample_period)},"
-                f"{repr(float(scores[i]))},{int(flags[i])}\n"
-                for i in range(len(series))))
+                f"{repr(i * dt)},{repr(score)},{int(flag)}\n"
+                for i, (score, flag) in enumerate(zip(scores.tolist(), flags))))
 
     _publish(args, None, {}, [args.net, args.scorer, args.data], write)
     return 0

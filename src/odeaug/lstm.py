@@ -658,11 +658,15 @@ def predict_many(net, config, series_list):
     ``prediction_length`` steps of each predicted channel, channel-major.
     Every series is checked before any forward pass.
 
-    Groups of ``series_batch_size`` series run as the rows of one batch,
-    zero-padded at the end of time and to at least two rows, in
-    ``tbptt_length`` chunks that carry the state.  A series' rows do not
-    depend on its group or the chunk length: they equal one unchunked
-    pass over the series and a zero row, bit for bit.
+    Every series is a row of one batch, in chunks that carry the state.
+    Rows run longest first, and a chunk ends where the shortest live row
+    does, which then leaves the batch; so no row steps past its end, and
+    a lone live row is paired with a zero row.  A chunk holds at most
+    ``tbptt_length`` steps, and at most ``series_batch_size *
+    tbptt_length`` row-steps, as a training chunk does, unless it has
+    more rows than that and one step.  A series' rows do not depend on
+    the other series or the chunk lengths: they equal one unchunked pass
+    over the series and a zero row, bit for bit.
     """
     series_list = list(series_list)
     for series in series_list:
@@ -672,17 +676,35 @@ def predict_many(net, config, series_list):
             raise ValueError(f"series lacks input channels {missing}")
         if len(series) < 2:
             raise ValueError("series too short to predict from")
-    xs = [config.normalize(s, config.input_channels) for s in series_list]
-    preds = []
-    for g0 in range(0, len(xs), config.series_batch_size):
-        group = xs[g0:g0 + config.series_batch_size]
-        x = np.zeros((max(2, len(group)), max(xj.shape[0] for xj in group),
-                      group[0].shape[1]))
-        for j, xj in enumerate(group):
-            x[j, :xj.shape[0]] = xj
-        out = _outputs(net, x, config.tbptt_length)
-        preds.extend(out[j, :xj.shape[0]] for j, xj in enumerate(group))
-    return preds
+    if not series_list:
+        return []
+    # the series end to end, unpadded, in one input and one output array
+    lengths = np.array([len(s) for s in series_list])
+    ends = np.cumsum(lengths)
+    x_all = np.empty((ends[-1], len(config.input_channels)))
+    for series, end, t_len in zip(series_list, ends, lengths):
+        x_all[end - t_len:end] = config.normalize(series, config.input_channels)
+    out_all = np.empty((ends[-1], net.b_out.shape[-1]))
+    order = np.argsort(-lengths, kind="stable")
+    starts, lengths = (ends - lengths)[order], lengths[order]
+
+    budget = config.series_batch_size * config.tbptt_length
+    h, c = _zero_state(net, max(2, len(series_list)))
+    t0, live = 0, len(series_list)
+    while live:
+        rows = max(2, live)
+        steps = max(1, min(config.tbptt_length, budget // rows))
+        t1 = min(t0 + steps, int(lengths[live - 1]))
+        at = starts[:live, np.newaxis] + np.arange(t0, t1)
+        x = np.zeros((rows, t1 - t0, x_all.shape[1]))
+        x[:live] = x_all[at]
+        out, caches, h, c = _forward(net, x, [a[:rows] for a in h],
+                                     [a[:rows] for a in c])
+        del caches  # freed before the next chunk allocates its own
+        out_all[at] = out[:live]
+        t0 = t1
+        live = int(np.count_nonzero(lengths > t0))
+    return np.split(out_all, ends[:-1])
 
 
 def predict(net, config, series):

@@ -9,6 +9,7 @@ inputs, so values can be shared freely across threads.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,12 +178,34 @@ LABEL_COLUMN = "label"
 _REL_STEP_TOL = 1e-6
 
 
+def _floats(rows, width):
+    """The fields of ``rows``, each ``width`` long, as an (n, width) array;
+    raises ValueError if a field is not a number ``float`` accepts."""
+    fields = itertools.chain.from_iterable(rows)
+    return np.fromiter(map(float, fields), dtype=float,
+                       count=len(rows) * width).reshape(len(rows), width)
+
+
+def _numeric(row):
+    """Whether ``float`` accepts every field of ``row``."""
+    try:
+        for v in row:
+            float(v)
+    except ValueError:
+        return False
+    return True
+
+
 def read_csv(path, channels=(), labeled=False):
     """Read one series from a CSV file, validating the schema.
 
     Raises :class:`CsvFormatError` with the offending line number on any
     deviation from the schema, which includes a missing one of
-    ``channels`` and, if ``labeled``, a missing label column.
+    ``channels`` and, if ``labeled``, a missing label column.  Field
+    counts, numbers and labels are checked first, and the first line with
+    one of these faults is reported: on one line, the field count before
+    the numbers, and the numbers before the label.  The ``t`` column and
+    the values are checked after that.
     """
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
@@ -201,29 +224,33 @@ def read_csv(path, channels=(), labeled=False):
             raise CsvFormatError(path, 1, f"missing channels {missing}")
         if labeled and not has_label:
             raise CsvFormatError(path, 1, "no label column")
+        rows = list(reader)
 
-        times, rows, labels = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    path, lineno, f"expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                fields = [float(v) for v in row]
-            except ValueError:
-                raise CsvFormatError(path, lineno, "non-numeric field") from None
-            times.append(fields[0])
-            if has_label:
-                if fields[-1] not in (0.0, 1.0):
-                    raise CsvFormatError(path, lineno, "label must be 0 or 1")
-                labels.append(bool(fields[-1]))
-                rows.append(fields[1:-1])
-            else:
-                rows.append(fields[1:])
+    # each row fault narrows the rows the later checks look at to those
+    # before it; row i is on line i + 2
+    width = len(header)
+    counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    ragged = np.flatnonzero(counts != width)
+    n = int(ragged[0]) if ragged.size else len(rows)
+    fault = (f"expected {width} fields, got {counts[n]}"
+             if n < len(rows) else None)
+    try:
+        data = _floats(rows[:n], width)
+    except ValueError:
+        n = next(i for i, row in enumerate(rows) if not _numeric(row))
+        fault = "non-numeric field"
+        data = _floats(rows[:n], width)
+    if has_label:
+        label = data[:, -1]
+        bad = np.flatnonzero((label != 0.0) & (label != 1.0))
+        if bad.size:
+            n, fault = int(bad[0]), "label must be 0 or 1"
+    if fault:
+        raise CsvFormatError(path, n + 2, fault)
 
     if len(rows) < 2:
         raise CsvFormatError(path, 2, "need at least two data rows")
-    t = np.asarray(times)
+    t = data[:, 0]
     if not np.all(np.isfinite(t)):
         row = int(np.nonzero(~np.isfinite(t))[0][0])
         raise CsvFormatError(path, row + 2, "non-finite t")
@@ -236,13 +263,12 @@ def read_csv(path, channels=(), labeled=False):
         raise CsvFormatError(
             path, int(bad[0]) + 3, "t step differs from the first step"
         )
-    values = np.asarray(rows, dtype=float)
+    values = np.ascontiguousarray(data[:, 1:-1] if has_label else data[:, 1:])
     if not np.all(np.isfinite(values)):
         row = int(np.nonzero(~np.all(np.isfinite(values), axis=1))[0][0])
         raise CsvFormatError(path, row + 2, "non-finite value")
-    return TimeSeries(
-        names, float(dt), values, np.asarray(labels, dtype=bool) if has_label else None
-    )
+    return TimeSeries(names, float(dt), values,
+                      data[:, -1] != 0.0 if has_label else None)
 
 
 def write_csv(series, path):

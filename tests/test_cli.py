@@ -422,16 +422,36 @@ class TestPipelineHandoff:
         assert manifest["command"] == "evaluate"
         assert manifest["config"] == {"format": fmt}
 
-    def test_detect_on_directory_without_csv_exits_0(self, artifacts,
-                                                     tmp_path):
+    @pytest.mark.parametrize("command", ["detect", "evaluate"])
+    def test_directory_without_csv_exits_1(self, artifacts, tmp_path, capsys,
+                                           command):
         empty = tmp_path / "empty"
         empty.mkdir()
+        out = tmp_path / "out"
+        assert run(
+            command, "--net", artifacts["net"], "--scorer", artifacts["scorer"],
+            "--data", str(empty), "--out", str(out),
+        ) == 1
+        err = capsys.readouterr().err
+        assert err == f"odeaug {command}: error: no CSV files under {empty}\n"
+        assert not out.exists()
+
+    def test_detect_replaces_only_the_final_csv_suffix(self, artifacts,
+                                                       data_dir, tmp_path):
+        source = os.path.join(data_dir, "test", "series_000.csv")
+        data = tmp_path / "data"
+        data.mkdir()
+        shutil.copy(source, data / "a.csv.csv")
+        shutil.copy(source, data / "b.csv")
         out = tmp_path / "detections"
         assert run(
             "detect", "--net", artifacts["net"], "--scorer", artifacts["scorer"],
-            "--data", str(empty), "--out", str(out),
+            "--data", str(data), "--out", str(out),
         ) == 0
-        assert os.listdir(out) == ["manifest.json"]
+        assert sorted(os.listdir(out)) == [
+            "a.csv.detections.csv", "b.detections.csv", "manifest.json"]
+        assert ((out / "a.csv.detections.csv").read_bytes()
+                == (out / "b.detections.csv").read_bytes())
 
     @pytest.mark.parametrize("case", ["train-without-csv", "untrained-net",
                                       "mixed-sample-periods", "no-room"])

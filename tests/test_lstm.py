@@ -585,6 +585,68 @@ def test_no_forward_pass_runs_on_one_row(monkeypatch, lengths, overrides,
     assert any(shape[-2] == 1 for shape in shapes) == one_step
 
 
+def _record_forward_calls(monkeypatch):
+    """The (rows, steps) of every later forward call, in a list."""
+    calls = []
+    real_forward = lstm._forward
+
+    def recording_forward(net, x, h0, c0):
+        calls.append(x.shape[-3:-1])
+        return real_forward(net, x, h0, c0)
+
+    monkeypatch.setattr(lstm, "_forward", recording_forward)
+    return calls
+
+
+class TestPredictManyCalls:
+    @pytest.mark.parametrize("lengths, size, tbptt", [
+        ([40], 8, 64),
+        ([2, 3, 9], 1, 1),
+        ([130, 2, 37, 64, 129, 3], 2, 16),
+        ([300] * 96, 8, 64),
+        ([50 + (7 * i) % 90 for i in range(40)], 2, 4),   # 40 rows > 8
+        ([300] * 40 + [3000] + [300] * 55, 8, 64),
+    ])
+    def test_calls_have_two_rows_and_a_training_chunk_of_row_steps(
+            self, monkeypatch, lengths, size, tbptt):
+        config = _normalized_config(layer_sizes=(4,), series_batch_size=size,
+                                    tbptt_length=tbptt)
+        net = init_network(config)
+        series = [_wave(n, i) for i, n in enumerate(lengths)]
+        calls = _record_forward_calls(monkeypatch)
+        predict_many(net, config, series)
+        budget = size * tbptt
+        assert calls and min(rows for rows, _ in calls) >= 2
+        assert max(steps for _, steps in calls) <= tbptt
+        assert all(rows * steps <= budget
+                   for rows, steps in calls if rows <= budget)
+        assert all(steps == 1 for rows, steps in calls if rows > budget)
+
+    def test_long_series_among_short_ones_costs_no_more_than_groups(
+            self, monkeypatch):
+        lengths = [300] * 40 + [3000] + [300] * 55
+        config = _normalized_config(layer_sizes=(4,))
+        size = config.series_batch_size
+        # groups of series_batch_size in input order, each padded to its
+        # longest series and to at least two rows
+        groups = [lengths[g0:g0 + size] for g0 in range(0, len(lengths), size)]
+        group_row_steps = sum(max(2, len(g)) * max(g) for g in groups)
+        calls = _record_forward_calls(monkeypatch)
+        predict_many(init_network(config), config,
+                     [_wave(n, i) for i, n in enumerate(lengths)])
+        assert sum(rows * steps for rows, steps in calls) <= group_row_steps
+
+    @pytest.mark.parametrize("count", [1, 3, 40, 200])
+    def test_sets_predict_the_bits_of_one_series_at_a_time(self, count):
+        config = _normalized_config(layer_sizes=(16,))
+        net = init_network(config)
+        series = [_wave(2 + (37 * i) % 150, i) for i in range(count)]
+        got = predict_many(net, config, series)
+        assert len(got) == count
+        assert all(np.array_equal(g, predict(net, config, s))
+                   for g, s in zip(got, series))
+
+
 class TestSerialization:
     def test_round_trip_preserves_predictions(self):
         config = toy_config()
