@@ -658,15 +658,13 @@ def predict_many(net, config, series_list):
     ``prediction_length`` steps of each predicted channel, channel-major.
     Every series is checked before any forward pass.
 
-    Every series is a row of one batch, in chunks that carry the state.
-    Rows run longest first, and a chunk ends where the shortest live row
-    does, which then leaves the batch; so no row steps past its end, and
-    a lone live row is paired with a zero row.  A chunk holds at most
-    ``tbptt_length`` steps, and at most ``series_batch_size *
-    tbptt_length`` row-steps, as a training chunk does, unless it has
-    more rows than that and one step.  A series' rows do not depend on
-    the other series or the chunk lengths: they equal one unchunked pass
-    over the series and a zero row, bit for bit.
+    Every series is a row of one batch, longest first, in chunks that
+    carry the state.  A chunk ends where its shortest row does, which then
+    leaves the batch, and a lone row gets a zero row.  A chunk holds at
+    most ``tbptt_length`` steps and, above one step, at most
+    ``series_batch_size * tbptt_length`` row-steps, as in training.  A
+    series' rows do not depend on the other series or the chunk lengths:
+    they equal one unchunked pass over the series and a zero row.
     """
     series_list = list(series_list)
     for series in series_list:

@@ -179,18 +179,15 @@ _REL_STEP_TOL = 1e-6
 
 
 def _floats(rows, width):
-    """The fields of ``rows``, each ``width`` long, as an (n, width) array;
-    raises ValueError if a field is not a number ``float`` accepts."""
-    fields = itertools.chain.from_iterable(rows)
-    return np.fromiter(map(float, fields), dtype=float,
+    """``rows`` of ``width`` fields each, through ``float``, as one array."""
+    return np.fromiter(map(float, itertools.chain.from_iterable(rows)), float,
                        count=len(rows) * width).reshape(len(rows), width)
 
 
 def _numeric(row):
-    """Whether ``float`` accepts every field of ``row``."""
+    """Whether ``float`` takes every field of ``row``."""
     try:
-        for v in row:
-            float(v)
+        [float(v) for v in row]
     except ValueError:
         return False
     return True
@@ -201,11 +198,9 @@ def read_csv(path, channels=(), labeled=False):
 
     Raises :class:`CsvFormatError` with the offending line number on any
     deviation from the schema, which includes a missing one of
-    ``channels`` and, if ``labeled``, a missing label column.  Field
-    counts, numbers and labels are checked first, and the first line with
-    one of these faults is reported: on one line, the field count before
-    the numbers, and the numbers before the label.  The ``t`` column and
-    the values are checked after that.
+    ``channels`` and, if ``labeled``, a missing label column.  The first
+    line with a wrong field count, a non-numeric field or a bad label is
+    reported, in that order on one line; ``t`` and the values come after.
     """
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
@@ -226,8 +221,8 @@ def read_csv(path, channels=(), labeled=False):
             raise CsvFormatError(path, 1, "no label column")
         rows = list(reader)
 
-    # each row fault narrows the rows the later checks look at to those
-    # before it; row i is on line i + 2
+    # a row fault leaves the later checks the rows before it; row i is on
+    # line i + 2
     width = len(header)
     counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     ragged = np.flatnonzero(counts != width)
@@ -238,8 +233,7 @@ def read_csv(path, channels=(), labeled=False):
         data = _floats(rows[:n], width)
     except ValueError:
         n = next(i for i, row in enumerate(rows) if not _numeric(row))
-        fault = "non-numeric field"
-        data = _floats(rows[:n], width)
+        fault, data = "non-numeric field", _floats(rows[:n], width)
     if has_label:
         label = data[:, -1]
         bad = np.flatnonzero((label != 0.0) & (label != 1.0))
