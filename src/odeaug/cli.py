@@ -364,7 +364,7 @@ def cmd_detect(args):
             if name.endswith(".csv"):
                 name = name[:-len(".csv")] + ".detections.csv"
             dt = series.sample_period
-            # Python floats and bools, as write_csv formats them
+            # tolist: Python floats and bools, whose repr and int are written
             flags = (scores < scorer.threshold).tolist()
             _write_text(os.path.join(out, name), "t,score,flag\n" + "".join(
                 f"{repr(i * dt)},{repr(score)},{int(flag)}\n"

@@ -221,8 +221,8 @@ def read_csv(path, channels=(), labeled=False):
             raise CsvFormatError(path, 1, "no label column")
         rows = list(reader)
 
-    # a row fault leaves the later checks the rows before it; row i is on
-    # line i + 2
+    # each check looks only at the rows before the first fault found so
+    # far, so the first line at fault wins; row i is on line i + 2
     width = len(header)
     counts = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     ragged = np.flatnonzero(counts != width)
